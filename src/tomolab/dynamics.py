@@ -5,6 +5,14 @@ unit-variance noise.  Its stationary lag-0 and lag-1 correlation matrices
 are ``R0 = beta^2 (I - A^2)^{-1}`` and ``R1 = A R0``; the module computes
 them exactly or estimates them from a simulated trajectory restricted to
 an observable node set.
+
+The exact path sums the Neumann series ``R0 = beta^2 sum_m A^{2m}`` on the
+``|S|`` columns of the observable set only, with the sparse ``A``.  Because
+``A`` is symmetric and non-negative with row sums at most ``rho``, the
+terms from ``m = M`` on add at most ``rho^{2M} / (1 - rho^2)`` to any entry
+of ``R0 / beta^2``; :func:`series_depth` picks the smallest ``M`` that
+makes this machine epsilon.  The cost is ``O(M nnz(A) |S|)`` time and
+``O(N |S|)`` memory, against ``O(N^3)`` and ``O(N^2)`` for a dense solve.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from enum import Enum
 from typing import TextIO
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError
 from .graphs import NodeSet
@@ -92,27 +99,46 @@ class CorrelationSet:
         return CorrelationSet(self.r0[sub], self.r1[sub], self.sample_count, nodes)
 
 
-def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> CorrelationSet:
-    """Exact stationary correlations on ``s``.
+def series_depth(rho: float) -> int:
+    """Number of Neumann terms ``M`` with ``rho^{2M} / (1 - rho^2) <= eps``.
 
-    Solves the symmetric positive definite system ``(I - A^2) R0 = beta^2 I``
-    and takes ``R1 = A R0`` before restricting both to ``s``.
+    ``M = ceil(log(eps (1 - rho^2)) / (2 log rho))``: 84 at ``rho = 0.8``,
+    375 at ``rho = 0.95``.  ``M`` grows like ``1 / (1 - rho)`` as ``rho``
+    approaches 1.
+    """
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    eps = np.finfo(np.float64).eps
+    return math.ceil(math.log(eps * (1.0 - rho * rho)) / (2.0 * math.log(rho)))
+
+
+def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> CorrelationSet:
+    """Exact stationary correlations on ``s``, to double precision.
+
+    Sums ``X = sum_{m < M} A^{2m} I[:, S]`` by iterating ``x <- A (A x)`` on
+    the ``N x |S|`` block, with ``M = series_depth(a.rho_bound)``.  Then
+    ``R0_S = beta^2 X[S]`` (symmetrized) and ``R1_S = A[S, :] beta^2 X``.
+    The neglected tail is at most machine epsilon times ``beta^2`` per
+    entry.  Cost: ``O(M nnz(A) |S|)`` time, ``O(N |S|)`` memory.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     s.check_within(a.n)
-    A = a.entries
-    lhs = np.eye(a.n) - A @ A
-    try:
-        c, low = scipy.linalg.cho_factor(lhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(f"I - A^2 is not positive definite: {exc}") from exc
-    r0_full = beta * beta * scipy.linalg.cho_solve((c, low), np.eye(a.n))
-    r0_full = 0.5 * (r0_full + r0_full.T)
-    r1_full = A @ r0_full
+    A = a.sparse
     idx = s.indices()
-    sub = np.ix_(idx, idx)
-    return CorrelationSet(r0_full[sub], r1_full[sub], 0, s)
+    x = np.zeros((a.n, len(idx)))
+    x[idx, np.arange(len(idx))] = 1.0
+    acc = x.copy()
+    for _ in range(series_depth(a.rho_bound) - 1):
+        x = A @ (A @ x)
+        acc += x
+    cols = beta * beta * acc
+    if not np.isfinite(cols).all():
+        raise NumericError("the Neumann series for R0 is not finite")
+    r0 = cols[idx]
+    r0 = 0.5 * (r0 + r0.T)
+    r1 = A[idx] @ cols
+    return CorrelationSet(r0, r1, 0, s)
 
 
 def _noise_block(rng: np.random.Generator, kind: NoiseKind, rows: int, n: int) -> np.ndarray:

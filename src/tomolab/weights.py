@@ -10,6 +10,11 @@ every row sums to exactly ``rho`` (the stability margin of the diffusion):
 Degrees count the self-loop, so ``d_i = |N_i|`` with ``i`` included.
 Matrices are symmetric, entrywise non-negative, and have spectral radius
 at most ``rho``.
+
+A :class:`CombinationMatrix` stores its weights as a CSR array
+(``.sparse``), the only stored form: the builders write it straight from
+the edge list, so no ``N x N`` float array is made.  ``.entries`` is a
+read-only dense view, built from the CSR on first access and cached.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from enum import Enum
 from typing import TextIO
 
 import numpy as np
+import scipy.sparse
 
 from .graphs import Graph, max_degree
 
@@ -48,37 +54,65 @@ class PolicyParams:
 
 
 class CombinationMatrix:
-    """Non-negative symmetric weights whose rows sum to at most ``rho_bound``."""
+    """Non-negative symmetric weights whose rows sum to at most ``rho_bound``.
 
-    __slots__ = ("entries", "rho_bound")
+    ``entries`` may be a dense array-like or a scipy sparse matrix; either
+    way the weights are kept as a CSR array whose buffers are read-only.
+    """
+
+    __slots__ = ("sparse", "rho_bound", "_dense")
 
     def __init__(self, entries, rho_bound: float, validate: bool = True):
-        arr = np.array(entries, dtype=np.float64)
+        if scipy.sparse.issparse(entries):
+            dense = None
+            sparse = scipy.sparse.csr_array(entries, dtype=np.float64, copy=True)
+        else:
+            dense = np.array(entries, dtype=np.float64)
+            if dense.ndim != 2:
+                raise ValueError("entries must form a square matrix")
+            dense.setflags(write=False)
+            sparse = scipy.sparse.csr_array(dense)
         if validate:
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            if sparse.shape[0] != sparse.shape[1]:
                 raise ValueError("entries must form a square matrix")
             if not 0.0 < rho_bound < 1.0:
                 raise ValueError(f"rho_bound must lie in (0, 1), got {rho_bound}")
-            if np.abs(arr - arr.T).max() > TOL:
+            if abs(sparse - sparse.T).max() > TOL:
                 raise ValueError("combination matrix must be symmetric")
-            if arr.min() < -TOL:
+            if sparse.min() < -TOL:
                 raise ValueError("combination matrix entries must be non-negative")
-            if arr.sum(axis=1).max() > rho_bound + TOL:
+            if sparse.sum(axis=1).max() > rho_bound + TOL:
                 raise ValueError(f"row sums must not exceed rho = {rho_bound}")
-        arr.setflags(write=False)
-        self.entries = arr
+        sparse.sum_duplicates()
+        for buf in (sparse.data, sparse.indices, sparse.indptr):
+            buf.setflags(write=False)
+        self.sparse = sparse
         self.rho_bound = float(rho_bound)
+        self._dense = dense
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Read-only dense view of the weights, built on first access."""
+        if self._dense is None:
+            dense = self.sparse.toarray()
+            dense.setflags(write=False)
+            self._dense = dense
+        return self._dense
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.sparse.shape[0]
 
     def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
+        return self.sparse.sum(axis=1)
 
     def support_graph(self) -> Graph:
-        """Graph of strictly positive off-diagonal entries, self-loops forced."""
-        adj = self.entries > 0.0
+        """Graph of strictly positive off-diagonal entries, self-loops forced.
+
+        Zeros stored explicitly in the CSR, which a sparse input may carry,
+        are not part of the support.
+        """
+        adj = (self.sparse > 0.0).toarray()
         np.fill_diagonal(adj, True)
         return Graph(adj, validate=False)
 
@@ -96,31 +130,45 @@ class CombinationMatrix:
         return f"CombinationMatrix(n={self.n}, rho_bound={self.rho_bound})"
 
 
+def _support(g: Graph):
+    """Row-major coordinates of the adjacency's nonzeros, loops included.
+
+    Returns ``(rows, cols, loops, deg)``: ``loops`` marks the diagonal
+    positions and ``deg`` counts each row's nonzeros (the self-loop too).
+    """
+    rows, cols = np.nonzero(g.adjacency)
+    return rows, cols, rows == cols, np.bincount(rows, minlength=g.n)
+
+
+def _csr(data: np.ndarray, cols: np.ndarray, deg: np.ndarray) -> scipy.sparse.csr_array:
+    """CSR array from row-major ``data``/``cols`` with ``deg`` entries per row."""
+    n = deg.size
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    return scipy.sparse.csr_array((data, cols, indptr), shape=(n, n))
+
+
 def laplacian_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
     """Laplacian rule: every edge gets ``rho*lam/d_max``; rows sum to ``rho``."""
     if params.rule is not CombinationRule.LAPLACIAN:
         raise ValueError(f"params carry rule {params.rule.value}, expected laplacian")
-    adj = g.adjacency
-    deg = adj.sum(axis=1)
+    rows, cols, loops, deg = _support(g)
     dmax = int(deg.max())
-    w = (params.rho * params.lam / dmax) * adj.astype(np.float64)
-    diag = params.rho * (1.0 - params.lam * (deg - 1) / dmax)
-    w[np.diag_indices_from(w)] = diag
-    return CombinationMatrix(w, params.rho, validate=False)
+    data = np.full(rows.size, params.rho * params.lam / dmax)
+    data[loops] = params.rho * (1.0 - params.lam * (deg - 1) / dmax)
+    return CombinationMatrix(_csr(data, cols, deg), params.rho, validate=False)
 
 
 def metropolis_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
     """Metropolis rule: edge ``(i, j)`` gets ``rho / max(d_i, d_j)``."""
     if params.rule is not CombinationRule.METROPOLIS:
         raise ValueError(f"params carry rule {params.rule.value}, expected metropolis")
-    adj = g.adjacency
-    deg = adj.sum(axis=1)
-    pair_max = np.maximum.outer(deg, deg)
-    ratio = adj.astype(np.float64) / pair_max
-    np.fill_diagonal(ratio, 0.0)
-    w = params.rho * ratio
-    w[np.diag_indices_from(w)] = params.rho * (1.0 - ratio.sum(axis=1))
-    return CombinationMatrix(w, params.rho, validate=False)
+    rows, cols, loops, deg = _support(g)
+    ratio = 1.0 / np.maximum(deg[rows], deg[cols])
+    ratio[loops] = 0.0
+    data = params.rho * ratio
+    data[loops] = params.rho * (1.0 - np.bincount(rows, weights=ratio, minlength=g.n))
+    return CombinationMatrix(_csr(data, cols, deg), params.rho, validate=False)
 
 
 def build_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tomolab import (
     CombinationMatrix,
@@ -11,6 +12,7 @@ from tomolab import (
     CorrelationSet,
     NodeSet,
     NoiseKind,
+    NumericError,
     PolicyParams,
     SimConfig,
     analytic_correlations,
@@ -20,6 +22,7 @@ from tomolab import (
     ring_graph,
     simulate_and_accumulate,
 )
+from tomolab.dynamics import series_depth
 from conftest import random_observed_network
 
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
@@ -27,6 +30,17 @@ MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
 
 def full_set(a):
     return NodeSet(tuple(range(a.n)))
+
+
+def cholesky_correlations(a, beta, s):
+    """Dense reference: solve ``(I - A^2) R0 = beta^2 I``, then ``R1 = A R0``."""
+    A = a.entries
+    c, low = scipy.linalg.cho_factor(np.eye(a.n) - A @ A)
+    r0_full = beta * beta * scipy.linalg.cho_solve((c, low), np.eye(a.n))
+    r0_full = 0.5 * (r0_full + r0_full.T)
+    r1_full = A @ r0_full
+    sub = np.ix_(s.indices(), s.indices())
+    return r0_full[sub], r1_full[sub]
 
 
 class TestAnalytic:
@@ -57,6 +71,36 @@ class TestAnalytic:
             corr = analytic_correlations(a, beta, s)
             assert np.abs(corr.r0 - want_r0).max() < 1e-9
             assert np.abs(corr.r1 - want_r1).max() < 1e-9
+
+    @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95])
+    @pytest.mark.parametrize(
+        "rule", [CombinationRule.LAPLACIAN, CombinationRule.METROPOLIS]
+    )
+    def test_matches_dense_cholesky(self, rho, rule):
+        rng = np.random.default_rng(int(rho * 100) + (rule is CombinationRule.LAPLACIAN))
+        for n_lo, n_hi in ((20, 60), (200, 300)):
+            _, s, a, _ = random_observed_network(
+                rng, n_lo=n_lo, n_hi=n_hi, rho=rho, rule=rule
+            )
+            for nodes in (s, full_set(a)):
+                want_r0, want_r1 = cholesky_correlations(a, 0.3, nodes)
+                corr = analytic_correlations(a, 0.3, nodes)
+                assert np.abs(corr.r0 - want_r0).max() < 1e-12
+                assert np.abs(corr.r1 - want_r1).max() < 1e-12
+
+    def test_series_depth_from_rho_bound(self):
+        assert series_depth(0.8) == 84
+        assert series_depth(0.95) == 375
+        for rho in (0.3, 0.8, 0.95):
+            m = series_depth(rho)
+            eps = np.finfo(np.float64).eps
+            assert rho ** (2 * m) / (1 - rho * rho) <= eps
+            assert rho ** (2 * m - 2) / (1 - rho * rho) > eps
+
+    def test_non_finite_weights_raise_numeric_error(self):
+        a = CombinationMatrix(np.array([[np.nan, 0.0], [0.0, 0.1]]), 0.5, validate=False)
+        with pytest.raises(NumericError, match="not finite"):
+            analytic_correlations(a, 0.3, full_set(a))
 
     def test_estimator_is_beta_invariant(self):
         rng = np.random.default_rng(52)

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from tomolab import (
     CombinationMatrix,
     CombinationRule,
+    Graph,
     PolicyParams,
     build_matrix,
     check_weight_floor,
@@ -98,6 +100,91 @@ class TestStructuralInvariants:
         for _ in range(20):
             _, _, a, _ = random_observed_network(rng, n_lo=5, n_hi=40)
             assert np.array_equal(a.entries, a.entries.T)
+
+
+def dense_laplacian(g, params):
+    """Dense reference for the Laplacian rule."""
+    adj = g.adjacency
+    deg = adj.sum(axis=1)
+    dmax = int(deg.max())
+    w = (params.rho * params.lam / dmax) * adj.astype(np.float64)
+    w[np.diag_indices_from(w)] = params.rho * (1.0 - params.lam * (deg - 1) / dmax)
+    return w
+
+
+def dense_metropolis(g, params):
+    """Dense reference for the Metropolis rule."""
+    adj = g.adjacency
+    deg = adj.sum(axis=1)
+    ratio = adj.astype(np.float64) / np.maximum.outer(deg, deg)
+    np.fill_diagonal(ratio, 0.0)
+    w = params.rho * ratio
+    w[np.diag_indices_from(w)] = params.rho * (1.0 - ratio.sum(axis=1))
+    return w
+
+
+class TestSparseBuilders:
+    @pytest.mark.parametrize(
+        "rule, oracle",
+        [
+            (CombinationRule.LAPLACIAN, dense_laplacian),
+            (CombinationRule.METROPOLIS, dense_metropolis),
+        ],
+    )
+    def test_match_dense_formulas(self, rule, oracle):
+        rng = np.random.default_rng(37)
+        for trial in range(30):
+            n_hi = 300 if trial % 10 == 0 else 40
+            g, _, a, params = random_observed_network(
+                rng, n_lo=5, n_hi=n_hi, rule=rule, rho=float(rng.uniform(0.3, 0.95))
+            )
+            want = oracle(g, params)
+            got = a.entries
+            assert np.abs(got - want).max() <= 1e-15
+            assert np.array_equal(got != 0.0, want != 0.0)
+            assert np.array_equal(got, got.T)
+            assert (a.sparse != a.sparse.T).nnz == 0
+            assert a.n == got.shape[0] == g.n
+            assert np.abs(a.row_sums() - got.sum(axis=1)).max() <= 1e-15
+            support = got > 0.0
+            np.fill_diagonal(support, True)
+            assert a.support_graph() == Graph(support)
+
+    def test_entries_view_is_read_only(self):
+        a = metropolis_matrix(ring_graph(5), MET)
+        view = a.entries
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 1] = 1.0
+        assert a.entries is view
+        assert not a.sparse.data.flags.writeable
+
+    def test_dense_input_is_the_cached_view(self):
+        m = np.array([[0.3, 0.2], [0.2, 0.3]])
+        a = CombinationMatrix(m, 0.6)
+        assert np.array_equal(a.entries, m)
+        assert not a.entries.flags.writeable
+        assert np.array_equal(a.sparse.toarray(), m)
+
+    def test_support_ignores_explicit_zeros(self):
+        # the off-diagonal pair (0, 1) is stored with value zero
+        w = scipy.sparse.csr_array(
+            (
+                np.array([0.3, 0.0, 0.0, 0.3, 0.5]),
+                np.array([0, 1, 0, 1, 2]),
+                np.array([0, 2, 4, 5]),
+            ),
+            shape=(3, 3),
+        )
+        a = CombinationMatrix(w, 0.6)
+        assert a.sparse.nnz == 5
+        assert a.support_graph() == from_edges(3, [])
+        assert np.array_equal(a.entries, np.diag([0.3, 0.3, 0.5]))
+
+    def test_sparse_input_is_validated(self):
+        w = scipy.sparse.csr_array(np.array([[0.3, 0.1], [0.0, 0.3]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            CombinationMatrix(w, 0.6)
 
 
 class TestClassThreshold:
