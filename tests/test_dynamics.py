@@ -22,7 +22,7 @@ from tomolab import (
     ring_graph,
     simulate_and_accumulate,
 )
-from tomolab.dynamics import series_depth
+from tomolab.dynamics import chebyshev_depth
 from conftest import random_observed_network
 
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
@@ -41,6 +41,24 @@ def cholesky_correlations(a, beta, s):
     r1_full = A @ r0_full
     sub = np.ix_(s.indices(), s.indices())
     return r0_full[sub], r1_full[sub]
+
+
+def dense_loop_correlations(a, cfg, s):
+    """Dense reference: one pass of ``y <- A y + beta x`` over the Gaussian stream."""
+    noise = np.random.default_rng(cfg.seed).standard_normal(
+        (cfg.burn_in + cfg.n_max, a.n)
+    )
+    y = np.zeros(a.n)
+    for t in range(cfg.burn_in):
+        y = a.entries @ y + cfg.beta * noise[t]
+    samples = [y[s.indices()].copy()]
+    for t in range(cfg.burn_in, cfg.burn_in + cfg.n_max):
+        y = a.entries @ y + cfg.beta * noise[t]
+        samples.append(y[s.indices()].copy())
+    arr = np.array(samples)
+    r0 = arr.T @ arr / (cfg.n_max + 1)
+    r1 = arr[1:].T @ arr[:-1] / cfg.n_max
+    return 0.5 * (r0 + r0.T), r1
 
 
 class TestAnalytic:
@@ -72,7 +90,7 @@ class TestAnalytic:
             assert np.abs(corr.r0 - want_r0).max() < 1e-9
             assert np.abs(corr.r1 - want_r1).max() < 1e-9
 
-    @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95, 0.99, 0.999])
     @pytest.mark.parametrize(
         "rule", [CombinationRule.LAPLACIAN, CombinationRule.METROPOLIS]
     )
@@ -88,14 +106,18 @@ class TestAnalytic:
                 assert np.abs(corr.r0 - want_r0).max() < 1e-12
                 assert np.abs(corr.r1 - want_r1).max() < 1e-12
 
-    def test_series_depth_from_rho_bound(self):
-        assert series_depth(0.8) == 84
-        assert series_depth(0.95) == 375
-        for rho in (0.3, 0.8, 0.95):
-            m = series_depth(rho)
-            eps = np.finfo(np.float64).eps
-            assert rho ** (2 * m) / (1 - rho * rho) <= eps
-            assert rho ** (2 * m - 2) / (1 - rho * rho) > eps
+    def test_chebyshev_depth_from_rho_bound(self):
+        rhos = (0.5, 0.8, 0.95, 0.99, 0.999)
+        assert [chebyshev_depth(rho) for rho in rhos] == [15, 28, 61, 144, 481]
+        eps = np.finfo(np.float64).eps
+        for rho in (0.3,) + rhos:
+            k = chebyshev_depth(rho)
+            kappa = 1 / (1 - rho * rho)
+            q = (np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)
+            assert 2 * q**k * kappa <= eps
+            assert 2 * q ** (k - 1) * kappa > eps
+        with pytest.raises(ValueError, match="rho"):
+            chebyshev_depth(1.0)
 
     def test_non_finite_weights_raise_numeric_error(self):
         a = CombinationMatrix(np.array([[np.nan, 0.0], [0.0, 0.1]]), 0.5, validate=False)
@@ -164,20 +186,20 @@ class TestEmpirical:
         s = full_set(a)
         cfg = SimConfig(beta=0.4, n_max=1200, burn_in=600, seed=7)
         got = simulate_and_accumulate(a, cfg, s)
+        r0, r1 = dense_loop_correlations(a, cfg, s)
+        assert np.abs(got.r0 - r0).max() < 1e-10
+        assert np.abs(got.r1 - r1).max() < 1e-10
 
-        rng2 = np.random.default_rng(7)
-        noise = rng2.standard_normal((1800, a.n))
-        y = np.zeros(a.n)
-        for t in range(600):
-            y = a.entries @ y + 0.4 * noise[t]
-        samples = [y.copy()]
-        for t in range(600, 1800):
-            y = a.entries @ y + 0.4 * noise[t]
-            samples.append(y.copy())
-        arr = np.array(samples)
-        r0 = arr.T @ arr / 1201.0
-        r1 = arr[1:].T @ arr[:-1] / 1200.0
-        assert np.abs(got.r0 - 0.5 * (r0 + r0.T)).max() < 1e-10
+    def test_sparse_step_matches_dense_loop(self):
+        # N above the cutoff takes the CSR step, which never builds the
+        # dense view; the dense loop must agree to roundoff
+        rng = np.random.default_rng(55)
+        _, s, a, _ = random_observed_network(rng, n_lo=450, n_hi=450)
+        cfg = SimConfig(beta=0.4, n_max=300, burn_in=100, seed=9)
+        got = simulate_and_accumulate(a, cfg, s)
+        assert a._dense is None
+        r0, r1 = dense_loop_correlations(a, cfg, s)
+        assert np.abs(got.r0 - r0).max() < 1e-10
         assert np.abs(got.r1 - r1).max() < 1e-10
 
     def test_reproducible_and_seed_sensitive(self):
