@@ -15,12 +15,8 @@ the error of each column machine epsilon.  The cost is
 ``O(sqrt(kappa) nnz(A) |S|)`` time with ``kappa = 1 / (1 - rho^2)``, and
 ``O(N |S|)`` memory, against ``O(N^3)`` and ``O(N^2)`` for a dense solve.
 
-The simulated path steps ``y <- A y + beta x`` with the CSR ``A`` when
-``N > 400`` and with the dense ``A`` otherwise.  Up to ``N = 300`` the two
-steps cost about the same, and the dense one releases the GIL inside BLAS,
-so trials on separate threads overlap; from ``N = 500`` on the CSR step is
-2-4 times faster, and more at ``N = 1000``, where the dense matrix no
-longer fits in cache.
+The simulated path steps ``y <- A y + beta x`` with the CSR ``A``, in
+``O(nnz(A))`` per step, and never builds the dense matrix.
 """
 
 from __future__ import annotations
@@ -37,8 +33,6 @@ from .graphs import NodeSet
 from .weights import CombinationMatrix
 
 _CHUNK = 512
-# Measured per step: CSR 22-37 us vs dense 85-93 us at N=500, a tie at N=300.
-_SPARSE_STEP_MIN_N = 400
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 
@@ -194,18 +188,13 @@ def simulate_and_accumulate(
 
     both restricted to ``s``.  The result is a deterministic function of
     ``(a, cfg, s)``.  When ``dump`` is given, every retained observable
-    sample is appended to it as ``n,node_id,y`` CSV rows.
-
-    Each step multiplies by ``a.sparse`` when ``a.n > 400`` and by
-    ``a.entries`` otherwise: the CSR matvec is 2-4 times faster from
-    ``N = 500`` on, while at ``N = 300`` the two tie and only the dense
-    (BLAS) one releases the GIL for trials on other threads.  The larger
-    networks never build the dense view.
+    sample is appended to it as ``n,node_id,y`` CSV rows.  Each step
+    multiplies by ``a.sparse``; the dense view is never built.
     """
     s.check_within(a.n)
     if len(s) == 0:
         raise ValueError("the observable set must be nonempty")
-    A = a.sparse if a.n > _SPARSE_STEP_MIN_N else a.entries
+    A = a.sparse
     n = a.n
     rng = np.random.default_rng(cfg.seed)
     beta = cfg.beta

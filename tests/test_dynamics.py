@@ -43,24 +43,6 @@ def cholesky_correlations(a, beta, s):
     return r0_full[sub], r1_full[sub]
 
 
-def dense_loop_correlations(a, cfg, s):
-    """Dense reference: one pass of ``y <- A y + beta x`` over the Gaussian stream."""
-    noise = np.random.default_rng(cfg.seed).standard_normal(
-        (cfg.burn_in + cfg.n_max, a.n)
-    )
-    y = np.zeros(a.n)
-    for t in range(cfg.burn_in):
-        y = a.entries @ y + cfg.beta * noise[t]
-    samples = [y[s.indices()].copy()]
-    for t in range(cfg.burn_in, cfg.burn_in + cfg.n_max):
-        y = a.entries @ y + cfg.beta * noise[t]
-        samples.append(y[s.indices()].copy())
-    arr = np.array(samples)
-    r0 = arr.T @ arr / (cfg.n_max + 1)
-    r1 = arr[1:].T @ arr[:-1] / cfg.n_max
-    return 0.5 * (r0 + r0.T), r1
-
-
 class TestAnalytic:
     def test_decoupled_network(self):
         # with A = rho I the stationary variance is beta^2 / (1 - rho^2)
@@ -179,27 +161,29 @@ class TestEmpirical:
         assert got.sample_count == 4
 
     def test_chunk_boundaries_do_not_change_results(self):
-        # 1200 main steps span three internal blocks; a single-pass rerun
-        # of the same stream must agree to accumulation roundoff
+        # 1200 main steps span three internal blocks; a single-pass dense
+        # rerun of the same stream must agree to accumulation roundoff, and
+        # the CSR step must not have built the dense view
         rng = np.random.default_rng(54)
         _, _, a, _ = random_observed_network(rng, n_lo=6, n_hi=12)
         s = full_set(a)
         cfg = SimConfig(beta=0.4, n_max=1200, burn_in=600, seed=7)
         got = simulate_and_accumulate(a, cfg, s)
-        r0, r1 = dense_loop_correlations(a, cfg, s)
-        assert np.abs(got.r0 - r0).max() < 1e-10
-        assert np.abs(got.r1 - r1).max() < 1e-10
-
-    def test_sparse_step_matches_dense_loop(self):
-        # N above the cutoff takes the CSR step, which never builds the
-        # dense view; the dense loop must agree to roundoff
-        rng = np.random.default_rng(55)
-        _, s, a, _ = random_observed_network(rng, n_lo=450, n_hi=450)
-        cfg = SimConfig(beta=0.4, n_max=300, burn_in=100, seed=9)
-        got = simulate_and_accumulate(a, cfg, s)
         assert a._dense is None
-        r0, r1 = dense_loop_correlations(a, cfg, s)
-        assert np.abs(got.r0 - r0).max() < 1e-10
+
+        rng2 = np.random.default_rng(7)
+        noise = rng2.standard_normal((1800, a.n))
+        y = np.zeros(a.n)
+        for t in range(600):
+            y = a.entries @ y + 0.4 * noise[t]
+        samples = [y.copy()]
+        for t in range(600, 1800):
+            y = a.entries @ y + 0.4 * noise[t]
+            samples.append(y.copy())
+        arr = np.array(samples)
+        r0 = arr.T @ arr / 1201.0
+        r1 = arr[1:].T @ arr[:-1] / 1200.0
+        assert np.abs(got.r0 - 0.5 * (r0 + r0.T)).max() < 1e-10
         assert np.abs(got.r1 - r1).max() < 1e-10
 
     def test_reproducible_and_seed_sensitive(self):
