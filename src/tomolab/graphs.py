@@ -7,6 +7,14 @@ instances are strictly increasing tuples of node ids; their ordering fixes
 the row/column layout of every submatrix extracted downstream, so the same
 ``NodeSet`` always addresses the same rows.
 
+The Erdos-Renyi samplers draw the N x N uniforms in consecutive row blocks
+of at most ``_BLOCK_DOUBLES`` values and keep only each block's strict
+upper triangle.  Consecutive ``rng.random((rows, n))`` calls return exactly
+the values of one ``rng.random((n, n))`` call, so graphs and generator
+state are those of the one-shot draw, while the peak allocation is about
+2 N^2 bytes (the boolean adjacency and one transposed copy) instead of the
+8 N^2 bytes of an N x N float array.
+
 Unreachable node pairs have distance ``INFINITE`` (a float infinity), never
 a large stand-in integer.
 """
@@ -19,6 +27,9 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 INFINITE = float("inf")
+
+# Uniforms drawn per block by the Erdos-Renyi samplers (2 MB of float64).
+_BLOCK_DOUBLES = 1 << 18
 
 
 class Graph:
@@ -55,6 +66,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
+
+
+def _adopt(adj: np.ndarray) -> Graph:
+    """Wrap an adjacency array this module built, without copying it.
+
+    The caller hands over ownership: ``adj`` is made read-only and must
+    already be symmetric with a ``True`` diagonal.
+    """
+    adj.setflags(write=False)
+    g = Graph.__new__(Graph)
+    g.adjacency = adj
+    return g
 
 
 @dataclass(frozen=True)
@@ -138,11 +161,11 @@ class PartialErSpec:
 
 def edgeless_graph(n: int) -> Graph:
     """Graph with self-loops only."""
-    return Graph(np.eye(n, dtype=bool), validate=False)
+    return _adopt(np.eye(n, dtype=bool))
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(np.ones((n, n), dtype=bool), validate=False)
+    return _adopt(np.ones((n, n), dtype=bool))
 
 
 def ring_graph(n: int) -> Graph:
@@ -153,7 +176,7 @@ def ring_graph(n: int) -> Graph:
     for i in range(n):
         adj[i, (i + 1) % n] = True
         adj[(i + 1) % n, i] = True
-    return Graph(adj, validate=False)
+    return _adopt(adj)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -163,25 +186,42 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
         adj[i, j] = True
         adj[j, i] = True
-    return Graph(adj, validate=False)
+    return _adopt(adj)
 
 
-def sample_er(n: int, p: float, rng: np.random.Generator) -> Graph:
-    """Erdos-Renyi draw: each off-diagonal pair is Bernoulli(p), i.i.d."""
+def _er_adjacency(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Writable Erdos-Renyi adjacency drawn from the one-shot uniform stream."""
     if n < 1:
         raise ValueError("cannot sample a graph on zero nodes")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    upper = np.triu(rng.random((n, n)) < p, 1)
-    adj = upper | upper.T
+    adj = np.empty((n, n), dtype=bool)
+    rows = max(1, _BLOCK_DOUBLES // n)
+    for i0 in range(0, n, rows):
+        block = rng.random((min(rows, n - i0), n))
+        adj[i0 : i0 + rows] = np.triu(block < p, i0 + 1)
+    adj |= adj.T
     np.fill_diagonal(adj, True)
-    return Graph(adj, validate=False)
+    return adj
+
+
+def sample_er(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """Erdos-Renyi draw: each off-diagonal pair is Bernoulli(p), i.i.d.
+
+    Pair ``(i, j)``, ``i < j``, is an edge when uniform ``i * n + j`` of the
+    generator's stream falls below ``p``; all ``n * n`` uniforms are drawn,
+    in row blocks, so the generator ends where ``rng.random((n, n))`` would
+    leave it.  Peak memory is about 2 N^2 bytes.
+    """
+    return _adopt(_er_adjacency(n, p, rng))
 
 
 def sample_partial_er(spec: PartialErSpec, rng: np.random.Generator) -> Graph:
     """Draw the random part and install the embedded observable subgraph."""
-    outer = sample_er(spec.n_total, spec.p, rng)
-    return embed(spec.embedded, outer, spec.observable)
+    adj = _er_adjacency(spec.n_total, spec.p, rng)
+    idx = spec.observable.indices()
+    adj[np.ix_(idx, idx)] = spec.embedded.adjacency
+    return _adopt(adj)
 
 
 def subgraph(g: Graph, s: NodeSet) -> Graph:
@@ -190,7 +230,7 @@ def subgraph(g: Graph, s: NodeSet) -> Graph:
     if len(s) == 0:
         raise ValueError("cannot take the subgraph on an empty node set")
     idx = s.indices()
-    return Graph(g.adjacency[np.ix_(idx, idx)], validate=False)
+    return _adopt(g.adjacency[np.ix_(idx, idx)])
 
 
 def embed(inner: Graph, outer: Graph, s: NodeSet) -> Graph:
@@ -207,7 +247,7 @@ def embed(inner: Graph, outer: Graph, s: NodeSet) -> Graph:
     adj = outer.adjacency.copy()
     idx = s.indices()
     adj[np.ix_(idx, idx)] = inner.adjacency
-    return Graph(adj, validate=False)
+    return _adopt(adj)
 
 
 def local_disconnect(g: Graph, u1: NodeSet, u2: NodeSet) -> Graph:
@@ -223,7 +263,7 @@ def local_disconnect(g: Graph, u1: NodeSet, u2: NodeSet) -> Graph:
     adj[np.ix_(i1, i2)] = False
     adj[np.ix_(i2, i1)] = False
     np.fill_diagonal(adj, True)
-    return Graph(adj, validate=False)
+    return _adopt(adj)
 
 
 def inherit(g: Graph, j: int, u: NodeSet) -> Graph:
@@ -241,7 +281,7 @@ def inherit(g: Graph, j: int, u: NodeSet) -> Graph:
         raise ValueError(f"inheriting node {j} must lie outside the detached set")
     adj = g.adjacency.copy()
     if len(u) == 0:
-        return Graph(adj, validate=False)
+        return _adopt(adj)
     uidx = u.indices()
     external = adj[uidx].any(axis=0)
     external[uidx] = False
@@ -250,7 +290,7 @@ def inherit(g: Graph, j: int, u: NodeSet) -> Graph:
     adj[j, external] = True
     adj[external, j] = True
     np.fill_diagonal(adj, True)
-    return Graph(adj, validate=False)
+    return _adopt(adj)
 
 
 def hop_counts(g: Graph, start: int, cap: float = INFINITE) -> np.ndarray:

@@ -61,22 +61,35 @@ class Classifier:
 
 
 def _solve_estimator(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(r0)
+    """Solve ``A_hat r0 = r1`` by Cholesky.
+
+    The warning threshold is checked against LAPACK's 1-norm condition
+    estimate from the factor; the 2-norm ``np.linalg.cond`` (a full SVD)
+    runs only when the factorization fails, to report the condition.
+    """
+    failure = None
+    try:
+        c, low = scipy.linalg.cho_factor(r0)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        failure = exc
+        cond = np.linalg.cond(r0)
+    else:
+        anorm = np.abs(r0).sum(axis=0).max()
+        rcond, _ = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if low else "U")
+        cond = 1.0 / rcond if rcond > 0.0 else np.inf
     if not np.isfinite(cond):
         raise NumericError(
             f"lag-0 correlation matrix is singular (condition estimate {cond})",
             condition=float(cond),
-        )
+        ) from failure
+    if failure is not None:
+        raise NumericError(
+            f"lag-0 correlation solve failed (cond={cond:.3e}): {failure}",
+            condition=float(cond),
+        ) from failure
     if cond > _COND_WARN:
         logger.warning("lag-0 correlation matrix poorly conditioned: cond=%.3e", cond)
-    try:
-        c, low = scipy.linalg.cho_factor(r0)
-        return scipy.linalg.cho_solve((c, low), r1.T).T
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"lag-0 correlation solve failed (cond={cond:.3e}): {exc}",
-            condition=float(cond),
-        ) from exc
+    return scipy.linalg.cho_solve((c, low), r1.T).T
 
 
 def granger_full(corr) -> np.ndarray:

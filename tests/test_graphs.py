@@ -1,6 +1,7 @@
 """Graph container, node sets, the partial-ER sampler and graph surgery."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,14 @@ from tomolab import (
     subgraph,
 )
 from tomolab.graphs import hop_counts
+
+
+def one_shot_er(n, p, rng):
+    """The single N x N uniform draw that the row-block sampler reproduces."""
+    upper = np.triu(rng.random((n, n)) < p, 1)
+    adj = upper | upper.T
+    np.fill_diagonal(adj, True)
+    return Graph(adj)
 
 
 def reach_within(adj, k):
@@ -155,6 +164,41 @@ class TestSampling:
         g = sample_partial_er(spec, rng)
         outside = subgraph(g, s.complement(40))
         assert 0 < outside.edge_count() < outside.n * (outside.n - 1) // 2
+
+    # 2**18 uniforms per block: n=300 fits one block, n=1024 takes four
+    # full blocks of 256 rows, n=513 and n=2100 end on a ragged last block
+    @pytest.mark.parametrize("n", [1, 2, 300, 513, 1024, 2100])
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.5, 1.0])
+    def test_er_matches_one_shot_stream(self, n, p):
+        rng, oracle_rng = np.random.default_rng(17), np.random.default_rng(17)
+        g = sample_er(n, p, rng)
+        assert g == one_shot_er(n, p, oracle_rng)
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 300, 513, 1024, 2100])
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.5, 1.0])
+    def test_partial_er_matches_one_shot_stream(self, n, p):
+        s = NodeSet.of(range(0, n, max(1, n // 5)))
+        inner = ring_graph(len(s))
+        rng, oracle_rng = np.random.default_rng(23), np.random.default_rng(23)
+        g = sample_partial_er(PartialErSpec(n, p, s, inner), rng)
+        assert g == embed(inner, one_shot_er(n, p, oracle_rng), s)
+        assert rng.random() == oracle_rng.random()
+        assert not g.adjacency.flags.writeable
+
+    def test_partial_er_peak_memory(self):
+        # the boolean adjacency and one transposed copy: 2 N^2 bytes, where
+        # an N x N float draw alone would take 8 N^2
+        n = 2000
+        spec = PartialErSpec(n, 0.01, NodeSet((0, 1, 2)), ring_graph(3))
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            sample_partial_er(spec, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
