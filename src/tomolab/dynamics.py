@@ -16,7 +16,12 @@ the error of each column machine epsilon.  The cost is
 ``O(N |S|)`` memory, against ``O(N^3)`` and ``O(N^2)`` for a dense solve.
 
 The simulated path steps ``y <- A y + beta x`` with the CSR ``A``, in
-``O(nnz(A))`` per step, and never builds the dense matrix.
+``O(nnz(A))`` per step, and never builds the dense matrix.  Each step is
+one call of scipy's CSR matrix-vector kernel on the augmented matrix
+``[A | beta I]`` and the stacked vector ``[y; x]``, written into a
+preallocated row.  The kernel adds row ``i``'s ``A`` terms in stored order
+and then ``beta x_i``, which rounds exactly as ``A @ y + beta * x``, and it
+releases the GIL, so trials on separate threads step in parallel.
 """
 
 from __future__ import annotations
@@ -27,12 +32,15 @@ from enum import Enum
 from typing import TextIO
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .errors import NumericError
 from .graphs import NodeSet
 from .weights import CombinationMatrix
 
 _CHUNK = 512
+_STEP_ROWS = 64
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 
@@ -170,6 +178,20 @@ def _noise_block(rng: np.random.Generator, kind: NoiseKind, rows: int, n: int) -
     return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=(rows, n))
 
 
+def _augmented_step(A: scipy.sparse.csr_array, beta: float) -> scipy.sparse.csr_array:
+    """``[A | beta I]`` as an ``N x 2N`` CSR array.
+
+    Each row keeps ``A``'s entries in their stored order and ends with its
+    ``beta`` entry, so the kernel sums them in the order ``A @ y`` does.
+    """
+    n = A.shape[0]
+    ends = A.indptr[1:]
+    indices = np.insert(A.indices, ends, np.arange(n, 2 * n))
+    data = np.insert(A.data, ends, beta)
+    indptr = A.indptr + np.arange(n + 1)
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, 2 * n))
+
+
 def simulate_and_accumulate(
     a: CombinationMatrix,
     cfg: SimConfig,
@@ -188,26 +210,46 @@ def simulate_and_accumulate(
 
     both restricted to ``s``.  The result is a deterministic function of
     ``(a, cfg, s)``.  When ``dump`` is given, every retained observable
-    sample is appended to it as ``n,node_id,y`` CSV rows.  Each step
-    multiplies by ``a.sparse``; the dense view is never built.
+    sample is appended to it as ``n,node_id,y`` CSV rows.
+
+    Each step is a single ``csr_matvec`` call with ``[A | beta I]`` on a row
+    ``[y_{n-1}, x_n]`` of a small work array, written into the zeroed first
+    half of the next row; no array is allocated per step.  The sums round
+    exactly as ``a.sparse @ y + beta * x``, so the result is bit for bit
+    that of the plain loop, and the dense view is never built.  Noise is
+    drawn in blocks of ``_CHUNK`` rows, stepped ``_STEP_ROWS`` at a time.
     """
     s.check_within(a.n)
     if len(s) == 0:
         raise ValueError("the observable set must be nonempty")
-    A = a.sparse
     n = a.n
     rng = np.random.default_rng(cfg.seed)
-    beta = cfg.beta
+    aug = _augmented_step(a.sparse, cfg.beta)
+    kernel = (n, 2 * n, aug.indptr, aug.indices, aug.data)
+    # row t holds [y_{t-1}, x_t]; the step writes y_t into row t + 1
+    z = np.zeros((_STEP_ROWS + 1, 2 * n))
+    ins = list(z[:-1])
+    outs = [row[:n] for row in z[1:]]
+    idx = s.indices()
 
-    y = np.zeros(n)
+    def advance(noise: np.ndarray, out: np.ndarray | None = None) -> None:
+        """Step once per noise row; gather each new state on ``s`` into ``out``."""
+        for lo in range(0, noise.shape[0], _STEP_ROWS):
+            rows = min(_STEP_ROWS, noise.shape[0] - lo)
+            z[1 : rows + 1, :n] = 0.0
+            z[:rows, n:] = noise[lo : lo + rows]
+            for t in range(rows):
+                _sparsetools.csr_matvec(*kernel, ins[t], outs[t])
+            if out is not None:
+                np.take(z[1 : rows + 1, :n], idx, axis=1, out=out[lo : lo + rows])
+            z[0, :n] = z[rows, :n]
+
     done = 0
     while done < cfg.burn_in:
-        block = _noise_block(rng, cfg.noise, min(_CHUNK, cfg.burn_in - done), n)
-        for x in block:
-            y = A @ y + beta * x
-        done += block.shape[0]
+        rows = min(_CHUNK, cfg.burn_in - done)
+        advance(_noise_block(rng, cfg.noise, rows, n))
+        done += rows
 
-    idx = s.indices()
     k = len(s)
     if dump is not None:
         dump.write("n,node_id,y\n")
@@ -216,7 +258,7 @@ def simulate_and_accumulate(
         for node, v in zip(s, values):
             dump.write(f"{step},{node},{float(v)!r}\n")
 
-    ys_prev = y[idx].copy()
+    ys_prev = z[0, idx]
     r0_acc = np.outer(ys_prev, ys_prev)
     r1_acc = np.zeros((k, k))
     if dump is not None:
@@ -226,10 +268,7 @@ def simulate_and_accumulate(
     buf = np.empty((_CHUNK, k))
     while done < cfg.n_max:
         rows = min(_CHUNK, cfg.n_max - done)
-        block = _noise_block(rng, cfg.noise, rows, n)
-        for t in range(rows):
-            y = A @ y + beta * block[t]
-            buf[t] = y[idx]
+        advance(_noise_block(rng, cfg.noise, rows, n), buf)
         cur = buf[:rows]
         r0_acc += cur.T @ cur
         prev = np.vstack([ys_prev[None, :], cur[:-1]])

@@ -65,12 +65,17 @@ def _solve_estimator(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
 
     The warning threshold is checked against LAPACK's 1-norm condition
     estimate from the factor; the 2-norm ``np.linalg.cond`` (a full SVD)
-    runs only when the factorization fails, to report the condition.
+    runs only when the factorization fails, to report the condition.  A
+    non-finite ``r0`` has no condition number and reports ``nan``.
     """
     failure = None
     try:
         c, low = scipy.linalg.cho_factor(r0)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
+        if not np.isfinite(r0).all():
+            raise NumericError(
+                "lag-0 correlation matrix is not finite", condition=np.nan
+            ) from exc
         failure = exc
         cond = np.linalg.cond(r0)
     else:

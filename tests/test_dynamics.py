@@ -22,7 +22,7 @@ from tomolab import (
     ring_graph,
     simulate_and_accumulate,
 )
-from tomolab.dynamics import chebyshev_depth
+from tomolab.dynamics import _CHUNK, _noise_block, chebyshev_depth
 from conftest import random_observed_network
 
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
@@ -41,6 +41,51 @@ def cholesky_correlations(a, beta, s):
     r1_full = A @ r0_full
     sub = np.ix_(s.indices(), s.indices())
     return r0_full[sub], r1_full[sub]
+
+
+def plain_loop_simulation(a, cfg, s, dump):
+    """Oracle for the kernel step: ``y = A @ y + beta * x`` on the same stream.
+
+    Apart from the step itself this is the simulator's own accumulation, so
+    its lag-0/lag-1 averages and dump text must agree bit for bit.
+    """
+    A = a.sparse
+    rng = np.random.default_rng(cfg.seed)
+    y = np.zeros(a.n)
+    done = 0
+    while done < cfg.burn_in:
+        block = _noise_block(rng, cfg.noise, min(_CHUNK, cfg.burn_in - done), a.n)
+        for x in block:
+            y = A @ y + cfg.beta * x
+        done += block.shape[0]
+    idx = s.indices()
+    dump.write("n,node_id,y\n")
+
+    def dump_row(step, values):
+        for node, v in zip(s, values):
+            dump.write(f"{step},{node},{float(v)!r}\n")
+
+    ys_prev = y[idx].copy()
+    r0_acc = np.outer(ys_prev, ys_prev)
+    r1_acc = np.zeros((len(s), len(s)))
+    dump_row(0, ys_prev)
+    done = 0
+    buf = np.empty((_CHUNK, len(s)))
+    while done < cfg.n_max:
+        rows = min(_CHUNK, cfg.n_max - done)
+        block = _noise_block(rng, cfg.noise, rows, a.n)
+        for t in range(rows):
+            y = A @ y + cfg.beta * block[t]
+            buf[t] = y[idx]
+        cur = buf[:rows]
+        r0_acc += cur.T @ cur
+        r1_acc += cur.T @ np.vstack([ys_prev[None, :], cur[:-1]])
+        for t in range(rows):
+            dump_row(done + t + 1, cur[t])
+        ys_prev = cur[-1].copy()
+        done += rows
+    r0 = r0_acc / (cfg.n_max + 1)
+    return 0.5 * (r0 + r0.T), r1_acc / cfg.n_max
 
 
 class TestAnalytic:
@@ -185,6 +230,23 @@ class TestEmpirical:
         r1 = arr[1:].T @ arr[:-1] / 1200.0
         assert np.abs(got.r0 - 0.5 * (r0 + r0.T)).max() < 1e-10
         assert np.abs(got.r1 - r1).max() < 1e-10
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 600])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_kernel_step_matches_plain_loop_bit_for_bit(self, kind, burn_in):
+        # n_max straddles the 512-row noise blocks; S is partial with gaps
+        rng = np.random.default_rng(55)
+        _, _, a, _ = random_observed_network(rng, n_lo=40, n_hi=80)
+        s = NodeSet((1, 4, 5, 11, 23, 37))
+        for n_max in (1, 511, 512, 513, 1200):
+            cfg = SimConfig(beta=0.45, n_max=n_max, burn_in=burn_in, noise=kind, seed=n_max)
+            got_dump, want_dump = io.StringIO(), io.StringIO()
+            got = simulate_and_accumulate(a, cfg, s, dump=got_dump)
+            want_r0, want_r1 = plain_loop_simulation(a, cfg, s, want_dump)
+            assert np.array_equal(got.r0, want_r0)
+            assert np.array_equal(got.r1, want_r1)
+            assert got_dump.getvalue() == want_dump.getvalue()
+        assert a._dense is None
 
     def test_reproducible_and_seed_sensitive(self):
         a = build_matrix(ring_graph(6), MET)

@@ -36,6 +36,7 @@ from tomolab import (
     symmetrize,
     two_means_1d,
 )
+from tomolab.inference import _solve_estimator
 from conftest import random_observed_network
 
 
@@ -150,6 +151,12 @@ class TestNumericFailures:
             granger_truncated(corr)
         assert err.value.condition == pytest.approx(1.0)
 
+    def test_nan_lag0_raises_with_nan_condition(self):
+        r0 = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(NumericError, match="not finite") as err:
+            _solve_estimator(r0, np.eye(2))
+        assert math.isnan(err.value.condition)
+
 
 class TestThresholdClassifier:
     def test_strictness_and_direction(self):
@@ -165,7 +172,7 @@ class TestThresholdClassifier:
         assert dec.adjacency[0, 1] and dec.adjacency[1, 0]
         assert not dec.adjacency[1, 2]
         assert not dec.adjacency[0, 2]
-        # either directed entry可以 clear the threshold
+        # either directed entry can clear the threshold
         dec_low = classify_threshold(m, 0.08)
         assert dec_low.adjacency[0, 2]
 
