@@ -1,19 +1,25 @@
-"""Undirected graphs with mandatory self-loops, stored densely.
+"""Undirected graphs with mandatory self-loops, stored as sparse rows.
 
-Nodes are labelled ``0 .. n-1``.  Every graph keeps a symmetric boolean
-adjacency matrix whose diagonal is all ``True``: each node interacts with
-itself, and the degree of a node counts that self-loop.  ``NodeSet``
-instances are strictly increasing tuples of node ids; their ordering fixes
-the row/column layout of every submatrix extracted downstream, so the same
-``NodeSet`` always addresses the same rows.
+Nodes are labelled ``0 .. n-1``.  A graph keeps its symmetric adjacency in
+compressed sparse row form: ``indices[indptr[i]:indptr[i + 1]]`` lists the
+neighbours of ``i`` in increasing order, ``i`` itself included, because
+each node interacts with itself and the degree of a node counts that
+self-loop.  ``.adjacency`` is a read-only dense boolean view built on first
+access and cached; it serves tests and |S|-sized graphs, and no code path
+here reads it on an N-sized graph.  ``NodeSet`` instances are strictly
+increasing tuples of node ids; their ordering fixes the row/column layout
+of every submatrix extracted downstream, so the same ``NodeSet`` always
+addresses the same rows.
 
-The Erdos-Renyi samplers draw the N x N uniforms in consecutive row blocks
-of at most ``_BLOCK_DOUBLES`` values and keep only each block's strict
-upper triangle.  Consecutive ``rng.random((rows, n))`` calls return exactly
-the values of one ``rng.random((n, n))`` call, so graphs and generator
-state are those of the one-shot draw, while the peak allocation is about
-2 N^2 bytes (the boolean adjacency and one transposed copy) instead of the
-8 N^2 bytes of an N x N float array.
+Graph surgery filters the stored entries, or, where it adds edges,
+rebuilds the rows from sorted edge keys ``i * n + j`` with ``i < j``.  The
+Erdos-Renyi samplers draw the N x N uniforms in consecutive row blocks of
+at most ``_BLOCK_DOUBLES`` values and emit the keys of each block's strict
+upper triangle that fall below ``p``.  Consecutive ``rng.random((rows, n))``
+calls return exactly the values of one ``rng.random((n, n))`` call, so
+graphs and generator state are those of the one-shot draw, while the peak
+allocation is one block of uniforms plus the edge list, with no N x N
+array.
 
 Unreachable node pairs have distance ``INFINITE`` (a float infinity), never
 a large stand-in integer.
@@ -31,11 +37,19 @@ INFINITE = float("inf")
 # Uniforms drawn per block by the Erdos-Renyi samplers (2 MB of float64).
 _BLOCK_DOUBLES = 1 << 18
 
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 class Graph:
-    """Immutable symmetric boolean adjacency with all self-loops present."""
+    """Immutable symmetric adjacency in CSR form, all self-loops present.
 
-    __slots__ = ("adjacency",)
+    ``Graph(adjacency)`` takes a dense boolean matrix, which becomes the
+    cached dense view; the builders of this module make graphs from their
+    sorted edges instead.  ``indptr`` and ``indices`` are read-only int32
+    arrays where the sizes fit.
+    """
+
+    __slots__ = ("indptr", "indices", "_dense")
 
     def __init__(self, adjacency, validate: bool = True):
         adj = np.array(adjacency, dtype=bool)
@@ -49,35 +63,98 @@ class Graph:
             if not adj.diagonal().all():
                 raise ValueError("every node must carry its self-loop")
         adj.setflags(write=False)
-        self.adjacency = adj
+        rows, cols = np.nonzero(adj)
+        self.indptr, self.indices = _compressed(np.bincount(rows, minlength=len(adj)), cols)
+        self._dense = adj
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.indptr.size - 1
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Read-only dense boolean view, built on first access."""
+        if self._dense is None:
+            adj = np.zeros((self.n, self.n), dtype=bool)
+            adj[_entry_rows(self), self.indices] = True
+            adj.setflags(write=False)
+            self._dense = adj
+        return self._dense
 
     def edge_count(self) -> int:
         """Number of distinct off-diagonal edges."""
-        return int(np.triu(self.adjacency, 1).sum())
+        return (self.indices.size - self.n) // 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return np.array_equal(self.adjacency, other.adjacency)
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(
+            self.indices, other.indices
+        )
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-def _adopt(adj: np.ndarray) -> Graph:
-    """Wrap an adjacency array this module built, without copying it.
+def _index_dtype(largest: int):
+    return np.int32 if largest <= _INT32_MAX else np.int64
 
-    The caller hands over ownership: ``adj`` is made read-only and must
-    already be symmetric with a ``True`` diagonal.
-    """
-    adj.setflags(write=False)
+
+def _compressed(counts: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(indptr, indices)`` of row-major ``cols``, ``counts[i]`` in row ``i``."""
+    indptr = np.zeros(counts.size + 1, dtype=_index_dtype(cols.size))
+    indptr[1:] = np.cumsum(counts)
+    indices = cols.astype(_index_dtype(counts.size), copy=False)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
+
+
+def _entry_rows(g: Graph) -> np.ndarray:
+    """Row of every stored entry, aligned with ``g.indices``."""
+    return np.repeat(np.arange(g.n, dtype=g.indices.dtype), np.diff(g.indptr))
+
+
+def _adopt(n: int, rows: np.ndarray, cols: np.ndarray) -> Graph:
+    """Graph from row-major entries, loops included: ``cols`` ascend within each row."""
     g = Graph.__new__(Graph)
-    g.adjacency = adj
+    g.indptr, g.indices = _compressed(np.bincount(rows, minlength=n), cols)
+    g._dense = None
     return g
+
+
+def _from_upper(n: int, keys: np.ndarray) -> Graph:
+    """Graph on ``n`` nodes with the edges of the distinct keys ``i * n + j``, ``i < j``.
+
+    The keys may come in any order.  Every stored entry ``(r, c)`` gets the
+    key ``r * n + c``; one sort of the upper, lower and loop keys puts the
+    entries in CSR order.
+    """
+    i, j = np.divmod(keys, n)
+    loops = np.arange(n, dtype=keys.dtype) * (n + 1)
+    entries = np.sort(np.concatenate([keys, j * n + i, loops]))
+    return _adopt(n, *np.divmod(entries, n))
+
+
+def _from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
+    """Graph with edges ``(a[k], b[k])``, in any order; loops and repeats collapse."""
+    lo = np.minimum(a, b).astype(np.int64)
+    hi = np.maximum(a, b)
+    off = lo != hi
+    return _from_upper(n, np.unique(lo[off] * n + hi[off]))
+
+
+def _upper_keys(g: Graph) -> np.ndarray:
+    """Sorted keys ``i * n + j`` of the off-diagonal edges, ``i < j``."""
+    rows = _entry_rows(g)
+    upper = g.indices > rows
+    return rows[upper].astype(np.int64) * g.n + g.indices[upper]
+
+
+def _member_mask(s: "NodeSet", n: int) -> np.ndarray:
+    inside = np.zeros(n, dtype=bool)
+    inside[s.indices()] = True
+    return inside
 
 
 @dataclass(frozen=True)
@@ -117,8 +194,10 @@ class NodeSet:
 
     def complement(self, n: int) -> "NodeSet":
         """Nodes of ``0..n-1`` not in this set, in increasing order."""
-        inside = frozenset(self.members)
-        return NodeSet(tuple(i for i in range(n) if i not in inside))
+        outside = np.ones(n, dtype=bool)
+        idx = self.indices()
+        outside[idx[idx < n]] = False
+        return NodeSet(tuple(np.flatnonzero(outside).tolist()))
 
     def union(self, other: "NodeSet") -> "NodeSet":
         return NodeSet.of(set(self.members) | set(other.members))
@@ -161,48 +240,56 @@ class PartialErSpec:
 
 def edgeless_graph(n: int) -> Graph:
     """Graph with self-loops only."""
-    return _adopt(np.eye(n, dtype=bool))
+    return _from_upper(n, np.empty(0, dtype=np.int64))
 
 
 def complete_graph(n: int) -> Graph:
-    return _adopt(np.ones((n, n), dtype=bool))
+    i, j = np.triu_indices(n, 1)
+    return _from_upper(n, i * n + j)
 
 
 def ring_graph(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0 plus self-loops."""
     if n < 1:
         raise ValueError("a graph needs at least one node")
-    adj = np.eye(n, dtype=bool)
-    for i in range(n):
-        adj[i, (i + 1) % n] = True
-        adj[(i + 1) % n, i] = True
-    return _adopt(adj)
+    i = np.arange(n)
+    return _from_pairs(n, i, (i + 1) % n)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    adj = np.eye(n, dtype=bool)
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-        adj[i, j] = True
-        adj[j, i] = True
-    return _adopt(adj)
+    """Graph from ``(i, j)`` pairs, or an ``(m, 2)`` integer array of them."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        i, j = pairs[bad[0]]
+        raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
+    return _from_pairs(n, pairs[:, 0], pairs[:, 1])
 
 
-def _er_adjacency(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Writable Erdos-Renyi adjacency drawn from the one-shot uniform stream."""
+def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted edge keys ``i * n + j`` of an Erdos-Renyi draw on the one-shot stream."""
     if n < 1:
         raise ValueError("cannot sample a graph on zero nodes")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    adj = np.empty((n, n), dtype=bool)
     rows = max(1, _BLOCK_DOUBLES // n)
+    parts = []
     for i0 in range(0, n, rows):
-        block = rng.random((min(rows, n - i0), n))
-        adj[i0 : i0 + rows] = np.triu(block < p, i0 + 1)
-    adj |= adj.T
-    np.fill_diagonal(adj, True)
-    return adj
+        # no name holds the block, so it is freed before the next one is drawn
+        keys = np.flatnonzero(rng.random((min(rows, n - i0), n)) < p) + i0 * n
+        parts.append(keys[keys % n > keys // n])
+    return np.concatenate(parts)
+
+
+def _replace_inside(keys: np.ndarray, n: int, s: NodeSet, inner: Graph) -> np.ndarray:
+    """Unsorted edge keys, the pairs inside ``s`` swapped for the edges of ``inner``."""
+    i, j = np.divmod(keys, n)
+    inside = _member_mask(s, n)
+    idx = s.indices()
+    pi, pj = np.divmod(_upper_keys(inner), len(s))
+    return np.concatenate([keys[~(inside[i] & inside[j])], idx[pi] * n + idx[pj]])
 
 
 def sample_er(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -211,17 +298,17 @@ def sample_er(n: int, p: float, rng: np.random.Generator) -> Graph:
     Pair ``(i, j)``, ``i < j``, is an edge when uniform ``i * n + j`` of the
     generator's stream falls below ``p``; all ``n * n`` uniforms are drawn,
     in row blocks, so the generator ends where ``rng.random((n, n))`` would
-    leave it.  Peak memory is about 2 N^2 bytes.
+    leave it.  Beyond one block of uniforms, memory grows with the edge
+    count, not with N^2.
     """
-    return _adopt(_er_adjacency(n, p, rng))
+    return _from_upper(n, _er_edges(n, p, rng))
 
 
 def sample_partial_er(spec: PartialErSpec, rng: np.random.Generator) -> Graph:
     """Draw the random part and install the embedded observable subgraph."""
-    adj = _er_adjacency(spec.n_total, spec.p, rng)
-    idx = spec.observable.indices()
-    adj[np.ix_(idx, idx)] = spec.embedded.adjacency
-    return _adopt(adj)
+    n = spec.n_total
+    keys = _er_edges(n, spec.p, rng)
+    return _from_upper(n, _replace_inside(keys, n, spec.observable, spec.embedded))
 
 
 def subgraph(g: Graph, s: NodeSet) -> Graph:
@@ -229,8 +316,12 @@ def subgraph(g: Graph, s: NodeSet) -> Graph:
     s.check_within(g.n)
     if len(s) == 0:
         raise ValueError("cannot take the subgraph on an empty node set")
-    idx = s.indices()
-    return _adopt(g.adjacency[np.ix_(idx, idx)])
+    k = len(s)
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[s.indices()] = np.arange(k)
+    rows = _entry_rows(g)
+    keep = (pos[rows] >= 0) & (pos[g.indices] >= 0)
+    return _adopt(k, pos[rows[keep]], pos[g.indices[keep]])
 
 
 def embed(inner: Graph, outer: Graph, s: NodeSet) -> Graph:
@@ -244,10 +335,7 @@ def embed(inner: Graph, outer: Graph, s: NodeSet) -> Graph:
         raise ValueError(
             f"inner graph order {inner.n} must equal the target set size {len(s)}"
         )
-    adj = outer.adjacency.copy()
-    idx = s.indices()
-    adj[np.ix_(idx, idx)] = inner.adjacency
-    return _adopt(adj)
+    return _from_upper(outer.n, _replace_inside(_upper_keys(outer), outer.n, s, inner))
 
 
 def local_disconnect(g: Graph, u1: NodeSet, u2: NodeSet) -> Graph:
@@ -257,13 +345,11 @@ def local_disconnect(g: Graph, u1: NodeSet, u2: NodeSet) -> Graph:
     """
     u1.check_within(g.n)
     u2.check_within(g.n)
-    adj = g.adjacency.copy()
-    i1 = u1.indices()
-    i2 = u2.indices()
-    adj[np.ix_(i1, i2)] = False
-    adj[np.ix_(i2, i1)] = False
-    np.fill_diagonal(adj, True)
-    return _adopt(adj)
+    in1 = _member_mask(u1, g.n)
+    in2 = _member_mask(u2, g.n)
+    rows, cols = _entry_rows(g), g.indices
+    kept = ~((in1[rows] & in2[cols]) | (in2[rows] & in1[cols])) | (rows == cols)
+    return _adopt(g.n, rows[kept], cols[kept])
 
 
 def inherit(g: Graph, j: int, u: NodeSet) -> Graph:
@@ -279,18 +365,15 @@ def inherit(g: Graph, j: int, u: NodeSet) -> Graph:
     u.check_within(g.n)
     if j in u:
         raise ValueError(f"inheriting node {j} must lie outside the detached set")
-    adj = g.adjacency.copy()
-    if len(u) == 0:
-        return _adopt(adj)
-    uidx = u.indices()
-    external = adj[uidx].any(axis=0)
-    external[uidx] = False
-    adj[uidx, :] = False
-    adj[:, uidx] = False
-    adj[j, external] = True
-    adj[external, j] = True
-    np.fill_diagonal(adj, True)
-    return _adopt(adj)
+    in_u = _member_mask(u, g.n)
+    a, b = np.divmod(_upper_keys(g), g.n)
+    kept = ~(in_u[a] | in_u[b])
+    external = np.concatenate([b[in_u[a] & ~in_u[b]], a[in_u[b] & ~in_u[a]]])
+    return _from_pairs(
+        g.n,
+        np.concatenate([a[kept], np.full(external.size, j)]),
+        np.concatenate([b[kept], external]),
+    )
 
 
 def hop_counts(g: Graph, start: int, cap: float = INFINITE) -> np.ndarray:
@@ -303,16 +386,22 @@ def hop_counts(g: Graph, start: int, cap: float = INFINITE) -> np.ndarray:
         raise ValueError(f"node {start} out of range")
     hops = np.full(g.n, INFINITE)
     hops[start] = 0.0
-    frontier = np.zeros(g.n, dtype=bool)
-    frontier[start] = True
+    frontier = np.array([start])
     d = 0
     while d < cap:
-        nxt = g.adjacency[frontier].any(axis=0) & np.isinf(hops)
-        if not nxt.any():
+        # the stored entries of the frontier rows, gathered row by row
+        starts = g.indptr[frontier]
+        lens = g.indptr[frontier + 1] - starts
+        ends = np.cumsum(lens)
+        at = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+        reached = np.zeros(g.n, dtype=bool)
+        reached[g.indices[at]] = True
+        reached &= np.isinf(hops)
+        frontier = np.flatnonzero(reached)
+        if not frontier.size:
             break
         d += 1
-        hops[nxt] = d
-        frontier = nxt
+        hops[frontier] = d
     return hops
 
 
@@ -339,11 +428,11 @@ def degree(g: Graph, i: int) -> int:
     """Number of neighbors of ``i``, counting the self-loop."""
     if not 0 <= i < g.n:
         raise ValueError(f"node {i} out of range")
-    return int(g.adjacency[i].sum())
+    return int(g.indptr[i + 1] - g.indptr[i])
 
 
 def max_degree(g: Graph) -> int:
-    return int(g.adjacency.sum(axis=1).max())
+    return int(np.diff(g.indptr).max())
 
 
 def is_connected(g: Graph) -> bool:
@@ -355,9 +444,9 @@ def save_edge_list(g: Graph, dest: str | TextIO) -> None:
 
     Self-loops are implied by the format and omitted.
     """
-    rows, cols = np.nonzero(np.triu(g.adjacency, 1))
+    rows, cols = np.divmod(_upper_keys(g), g.n)
     lines = [f"n={g.n}"]
-    lines.extend(f"{i} {j}" for i, j in zip(rows, cols))
+    lines.extend(f"{i} {j}" for i, j in zip(rows.tolist(), cols.tolist()))
     text = "\n".join(lines) + "\n"
     if isinstance(dest, str):
         with open(dest, "w", encoding="ascii") as fh:

@@ -297,15 +297,13 @@ def classification_report(
     k = sym.shape[0]
     if decided.n != k or len(node_index) != k:
         raise ValueError("estimate, decision graph and node set sizes differ")
-    records = []
-    for p in range(k):
-        for q in range(p + 1, k):
-            records.append(
-                {
-                    "i": node_index[p],
-                    "j": node_index[q],
-                    "score": float(sym[p, q]),
-                    "decision": bool(decided.adjacency[p, q]),
-                }
-            )
-    return records
+    rows, cols = np.triu_indices(k, 1)
+    return [
+        {"i": node_index[p], "j": node_index[q], "score": score, "decision": decision}
+        for p, q, score, decision in zip(
+            rows.tolist(),
+            cols.tolist(),
+            sym[rows, cols].tolist(),
+            decided.adjacency[rows, cols].tolist(),
+        )
+    ]

@@ -525,7 +525,9 @@ def check_small_distance_rarity(
     occurs = 0
     for _ in range(trials):
         g = sample_partial_er(spec, rng2)
-        near_i = g.adjacency[0] & ~obs_mask
+        near_i = np.zeros(n, dtype=bool)
+        near_i[g.indices[g.indptr[0] : g.indptr[1]]] = True
+        near_i &= ~obs_mask
         near_j2 = (hop_counts(g, 1, cap=2) <= 2) & ~obs_mask
         if (near_i & near_j2).any():
             occurs += 1

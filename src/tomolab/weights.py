@@ -12,8 +12,10 @@ Matrices are symmetric, entrywise non-negative, and have spectral radius
 at most ``rho``.
 
 A :class:`CombinationMatrix` stores its weights as a CSR array
-(``.sparse``), the only stored form: the builders write it straight from
-the edge list, so no ``N x N`` float array is made.  ``.entries`` is a
+(``.sparse``), the only stored form: the builders fill the graph's own CSR
+pattern (``indptr``/``indices``, self-loops included), so neither an
+``N x N`` float array nor the graph's dense view is made, and
+:func:`check_weight_floor` compares the two CSR forms.  ``.entries`` is a
 read-only dense view, built from the CSR on first access and cached.
 """
 
@@ -28,7 +30,7 @@ from typing import TextIO
 import numpy as np
 import scipy.sparse
 
-from .graphs import Graph, max_degree
+from .graphs import Graph, from_edges, max_degree
 
 TOL = 1e-12
 
@@ -109,12 +111,13 @@ class CombinationMatrix:
     def support_graph(self) -> Graph:
         """Graph of strictly positive off-diagonal entries, self-loops forced.
 
-        Zeros stored explicitly in the CSR, which a sparse input may carry,
+        The weights are symmetric, so the upper triangle is read.  Zeros
+        stored explicitly in the CSR, which a sparse input may carry,
         are not part of the support.
         """
-        adj = (self.sparse > 0.0).toarray()
-        np.fill_diagonal(adj, True)
-        return Graph(adj, validate=False)
+        coo = self.sparse.tocoo()
+        upper = (coo.row < coo.col) & (coo.data > 0.0)
+        return from_edges(self.n, np.column_stack([coo.row[upper], coo.col[upper]]))
 
     def save_csv(self, dest: str | TextIO) -> None:
         """One matrix row per line, for debugging and external inspection."""
@@ -131,21 +134,19 @@ class CombinationMatrix:
 
 
 def _support(g: Graph):
-    """Row-major coordinates of the adjacency's nonzeros, loops included.
+    """Row-major coordinates of the graph's CSR entries, loops included.
 
     Returns ``(rows, cols, loops, deg)``: ``loops`` marks the diagonal
-    positions and ``deg`` counts each row's nonzeros (the self-loop too).
+    positions and ``deg`` counts each row's entries (the self-loop too).
     """
-    rows, cols = np.nonzero(g.adjacency)
-    return rows, cols, rows == cols, np.bincount(rows, minlength=g.n)
+    deg = np.diff(g.indptr)
+    rows = np.repeat(np.arange(g.n), deg)
+    return rows, g.indices, rows == g.indices, deg
 
 
-def _csr(data: np.ndarray, cols: np.ndarray, deg: np.ndarray) -> scipy.sparse.csr_array:
-    """CSR array from row-major ``data``/``cols`` with ``deg`` entries per row."""
-    n = deg.size
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    return scipy.sparse.csr_array((data, cols, indptr), shape=(n, n))
+def _csr(data: np.ndarray, g: Graph) -> scipy.sparse.csr_array:
+    """CSR array with the sparsity pattern of ``g`` and values ``data``."""
+    return scipy.sparse.csr_array((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
 def laplacian_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
@@ -156,7 +157,7 @@ def laplacian_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
     dmax = int(deg.max())
     data = np.full(rows.size, params.rho * params.lam / dmax)
     data[loops] = params.rho * (1.0 - params.lam * (deg - 1) / dmax)
-    return CombinationMatrix(_csr(data, cols, deg), params.rho, validate=False)
+    return CombinationMatrix(_csr(data, g), params.rho, validate=False)
 
 
 def metropolis_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
@@ -168,7 +169,7 @@ def metropolis_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
     ratio[loops] = 0.0
     data = params.rho * ratio
     data[loops] = params.rho * (1.0 - np.bincount(rows, weights=ratio, minlength=g.n))
-    return CombinationMatrix(_csr(data, cols, deg), params.rho, validate=False)
+    return CombinationMatrix(_csr(data, g), params.rho, validate=False)
 
 
 def build_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
@@ -194,10 +195,12 @@ def check_weight_floor(a: CombinationMatrix, g: Graph, gamma: float) -> bool:
 
     Slack down to ``-1e-12`` is tolerated so exact-equality constructions
     (the Laplacian rule with ``gamma = rho*lam``) pass under rounding.
+    The slack is taken on the sparse difference; a pair stored in neither
+    CSR has zero slack and cannot fail.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    floor = (gamma / max_degree(g)) * g.adjacency.astype(np.float64)
-    slack = a.entries - floor
-    off = ~np.eye(a.n, dtype=bool)
-    return bool(slack[off].min() >= -TOL)
+    floor = _csr(np.full(g.indices.size, gamma / max_degree(g)), g)
+    slack = (a.sparse - floor).tocoo()
+    off = slack.row != slack.col
+    return bool(slack.data[off].min(initial=np.inf) >= -TOL)

@@ -29,7 +29,7 @@ from tomolab import (
     save_edge_list,
     subgraph,
 )
-from tomolab.graphs import hop_counts
+from tomolab.graphs import _BLOCK_DOUBLES, hop_counts
 
 
 def one_shot_er(n, p, rng):
@@ -368,3 +368,196 @@ class TestEdgeListIO:
     def test_bad_edge_line(self):
         with pytest.raises(ValueError, match="edge line"):
             load_edge_list(io.StringIO("n=3\n0 1 2\n"))
+
+
+# Dense oracles: the adjacency-matrix constructions the CSR builders replaced.
+
+
+def dense_ring(n):
+    adj = np.eye(n, dtype=bool)
+    for i in range(n):
+        adj[i, (i + 1) % n] = True
+        adj[(i + 1) % n, i] = True
+    return adj
+
+
+def dense_from_edges(n, edges):
+    adj = np.eye(n, dtype=bool)
+    for i, j in edges:
+        adj[i, j] = True
+        adj[j, i] = True
+    return adj
+
+
+def dense_embed(inner, outer, s):
+    adj = outer.copy()
+    idx = s.indices()
+    adj[np.ix_(idx, idx)] = inner
+    return adj
+
+
+def dense_local_disconnect(adj, u1, u2):
+    adj = adj.copy()
+    i1, i2 = u1.indices(), u2.indices()
+    adj[np.ix_(i1, i2)] = False
+    adj[np.ix_(i2, i1)] = False
+    np.fill_diagonal(adj, True)
+    return adj
+
+
+def dense_inherit(adj, j, u):
+    adj = adj.copy()
+    if len(u) == 0:
+        return adj
+    uidx = u.indices()
+    external = adj[uidx].any(axis=0)
+    external[uidx] = False
+    adj[uidx, :] = False
+    adj[:, uidx] = False
+    adj[j, external] = True
+    adj[external, j] = True
+    np.fill_diagonal(adj, True)
+    return adj
+
+
+def dense_hop_counts(adj, start, cap=INFINITE):
+    hops = np.full(adj.shape[0], INFINITE)
+    hops[start] = 0.0
+    frontier = np.zeros(adj.shape[0], dtype=bool)
+    frontier[start] = True
+    d = 0
+    while d < cap:
+        nxt = adj[frontier].any(axis=0) & np.isinf(hops)
+        if not nxt.any():
+            break
+        d += 1
+        hops[nxt] = d
+        frontier = nxt
+    return hops
+
+
+def assert_sparse_rows(g, dense=None):
+    """CSR invariants of ``g``; with ``dense``, the view must equal it."""
+    n = g.n
+    indptr, indices = g.indptr, g.indices
+    assert indptr.dtype == indices.dtype == np.int32
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    assert indptr[0] == 0 and indptr[-1] == indices.size
+    lens = np.diff(indptr)
+    assert (lens >= 1).all()
+    rows = np.repeat(np.arange(n), lens)
+    cols = indices.astype(np.int64)
+    assert ((cols >= 0) & (cols < n)).all()
+    # strictly increasing columns inside each row, so one self-loop per row
+    assert (np.diff(cols)[rows[1:] == rows[:-1]] > 0).all()
+    assert np.count_nonzero(rows == cols) == n
+    # symmetric: the transposed coordinates are the same set
+    keys = rows * n + cols
+    assert np.array_equal(np.sort(cols * n + rows), keys)
+    if dense is not None:
+        view = g.adjacency
+        assert not view.flags.writeable
+        assert view is g.adjacency
+        assert np.array_equal(view, dense)
+        assert g == Graph(dense)
+
+
+def random_sets(rng, n):
+    s = NodeSet.of(np.flatnonzero(rng.random(n) < 0.3))
+    u = NodeSet.of(np.flatnonzero(rng.random(n) < 0.2))
+    return s, u
+
+
+class TestSparseRows:
+    def test_builders_match_dense_oracles(self):
+        for n in (1, 2, 3, 7, 40):
+            assert_sparse_rows(edgeless_graph(n), np.eye(n, dtype=bool))
+            assert_sparse_rows(complete_graph(n), np.ones((n, n), dtype=bool))
+            assert_sparse_rows(ring_graph(n), dense_ring(n))
+        edges = [(0, 3), (3, 0), (2, 2), (4, 1), (1, 4), (0, 1)]
+        assert_sparse_rows(from_edges(5, edges), dense_from_edges(5, edges))
+        assert_sparse_rows(from_edges(5, np.array(edges)), dense_from_edges(5, edges))
+        assert_sparse_rows(from_edges(5, []), np.eye(5, dtype=bool))
+
+    def test_edge_list_round_trip_keeps_rows(self):
+        rng = np.random.default_rng(61)
+        g = sample_er(60, 0.1, rng)
+        buf = io.StringIO()
+        save_edge_list(g, buf)
+        buf.seek(0)
+        assert_sparse_rows(load_edge_list(buf), g.adjacency)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs_and_surgery(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 90))
+        p = float(rng.choice([0.0, 0.03, 0.2, 0.6, 1.0]))
+        oracle_rng = np.random.default_rng(seed)
+        g = sample_er(n, p, np.random.default_rng(seed))
+        adj = one_shot_er(n, p, oracle_rng).adjacency
+        assert_sparse_rows(g, adj)
+
+        s, u = random_sets(rng, n)
+        if len(s):
+            inner = sample_er(len(s), 0.5, rng)
+            assert_sparse_rows(embed(inner, g, s), dense_embed(inner.adjacency, adj, s))
+            assert_sparse_rows(subgraph(g, s), adj[np.ix_(s.indices(), s.indices())])
+            spec = PartialErSpec(n, p, s, inner)
+            g2 = sample_partial_er(spec, np.random.default_rng(seed))
+            soup = one_shot_er(n, p, np.random.default_rng(seed)).adjacency
+            assert_sparse_rows(g2, dense_embed(inner.adjacency, soup, s))
+        assert_sparse_rows(local_disconnect(g, s, u), dense_local_disconnect(adj, s, u))
+        assert_sparse_rows(local_disconnect(g, s, s), dense_local_disconnect(adj, s, s))
+        outside = [j for j in range(n) if j not in u]
+        if outside:
+            j = int(rng.choice(outside))
+            assert_sparse_rows(inherit(g, j, u), dense_inherit(adj, j, u))
+        for start in (0, n - 1):
+            for cap in (0, 1, 2, INFINITE):
+                want = dense_hop_counts(adj, start, cap)
+                assert np.array_equal(hop_counts(g, start, cap), want)
+        deg = adj.sum(axis=1)
+        assert max_degree(g) == deg.max()
+        assert [degree(g, i) for i in range(n)] == deg.tolist()
+        assert g.edge_count() == np.triu(adj, 1).sum()
+
+    def test_dense_input_becomes_the_cached_view(self):
+        adj = dense_ring(6)
+        g = Graph(adj)
+        assert_sparse_rows(g, adj)
+        assert g == ring_graph(6)
+
+    def test_large_graph_keeps_no_dense_view(self):
+        rng = np.random.default_rng(3)
+        n = 3000
+        s = NodeSet(tuple(range(10)))
+        g = sample_partial_er(PartialErSpec(n, 0.003, s, ring_graph(10)), rng)
+        cut = local_disconnect(g, s, s)
+        subgraph(embed(complete_graph(10), cut, s), s)
+        assert g._dense is None and cut._dense is None
+        assert g.indices.nbytes + g.indptr.nbytes < n * n // 50
+
+    def test_partial_er_memory_below_one_dense_matrix(self):
+        # one block of uniforms is 8 * _BLOCK_DOUBLES bytes (2 MB); the dense
+        # sampler held an N x N bool and its transposed copy, 2 N^2 = 8 MB
+        n = 2000
+        spec = PartialErSpec(n, 0.01, NodeSet((0, 1, 2)), ring_graph(3))
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            sample_partial_er(spec, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * _BLOCK_DOUBLES < 2 * n * n
+
+    def test_complement_matches_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(0, 30))
+            s = NodeSet.of(np.flatnonzero(rng.random(n + 5) < 0.4))
+            inside = frozenset(s.members)
+            want = tuple(i for i in range(n) if i not in inside)
+            got = s.complement(n).members
+            assert got == want
+            assert all(type(i) is int for i in got)

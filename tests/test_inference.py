@@ -1,6 +1,7 @@
 """Topology estimators, the truncation-error algebra and both classifiers."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -341,3 +342,31 @@ class TestClassifierFrontend:
         assert recs[0] == {"i": 4, "j": 8, "score": 0.3, "decision": True}
         assert recs[2]["i"] == 8 and recs[2]["j"] == 9
         assert recs[2]["decision"] is False
+
+
+class TestReportOracle:
+    def test_matches_pair_loop(self):
+        rng = np.random.default_rng(41)
+        for k in (2, 3, 7, 12):
+            est = rng.normal(size=(k, k))
+            decided = sample_er(k, 0.4, rng)
+            nodes = NodeSet.of(rng.choice(100, size=k, replace=False))
+            sym = symmetrize(est)
+            want = [
+                {
+                    "i": nodes[p],
+                    "j": nodes[q],
+                    "score": float(sym[p, q]),
+                    "decision": bool(decided.adjacency[p, q]),
+                }
+                for p in range(k)
+                for q in range(p + 1, k)
+            ]
+            got = classification_report(est, decided, nodes)
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)
+            assert all(
+                type(r["i"]) is int and type(r["score"]) is float
+                and type(r["decision"]) is bool
+                for r in got
+            )

@@ -14,6 +14,7 @@ from tomolab import (
     CRule,
     EmbeddedSource,
     ExperimentConfig,
+    Graph,
     PatchCatchConfig,
     PolicyParams,
     RegimeSpec,
@@ -261,6 +262,28 @@ class TestRecoveryExperiment:
         row = recovery_probability_experiment(cfg)[0]
         assert 0.0 <= row.ci_lo <= row.fraction <= row.ci_hi <= 1.0
         assert row.fraction == row.perfect / row.trials
+
+    def test_large_trial_never_builds_a_dense_graph(self, monkeypatch):
+        # an analytic trial at N=2000 must run on the CSR rows alone;
+        # only |S|-sized graphs may build their dense view
+        built = []
+        dense_view = Graph.adjacency.fget
+
+        def spy(g):
+            if g._dense is None:
+                built.append(g.n)
+            return dense_view(g)
+
+        monkeypatch.setattr(Graph, "adjacency", property(spy))
+        cfg = _analytic_config(
+            regime=RegimeSpec((2000,), CRule.loglog()),
+            embedded=EmbeddedSource.er(),
+            trials=2,
+        )
+        recovery_probability_experiment(cfg)
+        assert all(n <= cfg.s_size for n in built)
+        ring_graph(4).adjacency
+        assert built[-1] == 4
 
     def test_numeric_failures_count_as_missed(self, caplog):
         # three retained samples cannot produce a rank-6 lag-zero matrix

@@ -18,6 +18,7 @@ from tomolab import (
     complete_graph,
     from_edges,
     laplacian_matrix,
+    max_degree,
     metropolis_matrix,
     ring_graph,
 )
@@ -227,6 +228,35 @@ class TestEdgeWeightFloor:
         a = metropolis_matrix(g, MET)
         with pytest.raises(ValueError, match="positive"):
             check_weight_floor(a, g, 0.0)
+
+
+def dense_weight_floor(a, g, gamma):
+    """The N x N slack computation that check_weight_floor replaced."""
+    floor = (gamma / max_degree(g)) * g.adjacency.astype(np.float64)
+    slack = a.entries - floor
+    off = ~np.eye(a.n, dtype=bool)
+    return bool(slack[off].min() >= -1e-12)
+
+
+class TestEdgeWeightFloorOracle:
+    def test_verdicts_match_dense_slack(self):
+        rng = np.random.default_rng(38)
+        for trial in range(40):
+            g, _, a, params = random_observed_network(rng, n_lo=5, n_hi=60)
+            edges = np.argwhere(np.triu(g.adjacency, 1))
+            gaps = np.argwhere(~g.adjacency)
+            if trial % 2 and len(edges) and len(gaps):
+                # weights whose support differs from the graph: a missing
+                # edge weight, and a small negative or positive weight on a
+                # pair the graph does not connect
+                dense = a.entries.copy()
+                (i, j), (k, m) = edges[trial % len(edges)], gaps[0]
+                dense[i, j] = dense[j, i] = 0.0
+                dense[k, m] = dense[m, k] = 1e-3 if trial % 4 == 1 else -1e-9
+                a = CombinationMatrix(dense, params.rho, validate=False)
+            dmax = max_degree(g)
+            for gamma in (1e-6, params.rho / 2, params.rho, 2 * params.rho, dmax / 2):
+                assert check_weight_floor(a, g, gamma) == dense_weight_floor(a, g, gamma)
 
 
 class TestValidation:
