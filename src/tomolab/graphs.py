@@ -164,6 +164,20 @@ class NodeSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            ids = np.asarray(self.members)
+        except (TypeError, ValueError):
+            ids = None
+        if ids is not None and ids.ndim == 1 and ids.dtype.kind in "iu":
+            # every member is an integer: check them as one array
+            negative = np.flatnonzero(ids < 0)
+            if negative.size:
+                m = self.members[negative[0]]
+                raise ValueError(f"node ids must be non-negative integers, got {m!r}")
+            if np.any(ids[1:] <= ids[:-1]):
+                raise ValueError("node ids must be strictly increasing")
+            object.__setattr__(self, "members", tuple(ids.tolist()))
+            return
         for m in self.members:
             if not isinstance(m, (int, np.integer)) or m < 0:
                 raise ValueError(f"node ids must be non-negative integers, got {m!r}")
@@ -197,7 +211,7 @@ class NodeSet:
         outside = np.ones(n, dtype=bool)
         idx = self.indices()
         outside[idx[idx < n]] = False
-        return NodeSet(tuple(np.flatnonzero(outside).tolist()))
+        return NodeSet(np.flatnonzero(outside))
 
     def union(self, other: "NodeSet") -> "NodeSet":
         return NodeSet.of(set(self.members) | set(other.members))
@@ -421,7 +435,7 @@ def neighborhood(g: Graph, i: int, r: int) -> NodeSet:
     if r < 0:
         raise ValueError("neighborhood order must be non-negative")
     hops = hop_counts(g, i, cap=r)
-    return NodeSet(tuple(int(k) for k in np.flatnonzero(hops <= r)))
+    return NodeSet(np.flatnonzero(hops <= r))
 
 
 def degree(g: Graph, i: int) -> int:

@@ -10,6 +10,9 @@ With exact correlations the truncated estimate decomposes as
 with ``S'`` the unobserved complement.  Each entry ``h_lm`` of ``H`` is
 bounded by ``rho^r / (1 - rho^2)`` where ``r`` is the distance between
 ``l`` and ``m`` after all edges internal to ``S`` are cut.
+
+The estimator's ``|S| x |S|`` solve runs on ``numpy.linalg`` alone, so
+importing the package loads numpy's BLAS and not scipy's second copy.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, UnsupportedMethodError
 from .graphs import Graph, NodeSet, edgeless_graph, hop_counts, local_disconnect
@@ -61,40 +63,40 @@ class Classifier:
 
 
 def _solve_estimator(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-    """Solve ``A_hat r0 = r1`` by Cholesky.
+    """Solve ``A_hat r0 = r1`` through the Cholesky factor ``r0 = L L^T``.
 
-    The warning threshold is checked against LAPACK's 1-norm condition
-    estimate from the factor; the 2-norm ``np.linalg.cond`` (a full SVD)
-    runs only when the factorization fails, to report the condition.  A
+    The factorization is the positive-definiteness check.  ``inv(L)``
+    gives ``r0^{-1} = L^{-T} L^{-1}``, which serves both the solve
+    ``A_hat = r1 r0^{-1}`` and the exact 1-norm condition number
+    ``||r0||_1 ||r0^{-1}||_1`` checked against the warning threshold.  A
+    matrix that does not factor reports ``np.linalg.cond(r0, 1)``; a
     non-finite ``r0`` has no condition number and reports ``nan``.
     """
+    if not np.isfinite(r0).all():
+        raise NumericError("lag-0 correlation matrix is not finite", condition=np.nan)
     failure = None
     try:
-        c, low = scipy.linalg.cho_factor(r0)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        if not np.isfinite(r0).all():
-            raise NumericError(
-                "lag-0 correlation matrix is not finite", condition=np.nan
-            ) from exc
+        low = np.linalg.cholesky(r0)
+    except np.linalg.LinAlgError as exc:
         failure = exc
-        cond = np.linalg.cond(r0)
+        cond = float(np.linalg.cond(r0, 1))
     else:
-        anorm = np.abs(r0).sum(axis=0).max()
-        rcond, _ = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if low else "U")
-        cond = 1.0 / rcond if rcond > 0.0 else np.inf
+        linv = np.linalg.inv(low)
+        r0_inv = linv.T @ linv
+        cond = float(np.abs(r0).sum(axis=0).max() * np.abs(r0_inv).sum(axis=0).max())
     if not np.isfinite(cond):
         raise NumericError(
             f"lag-0 correlation matrix is singular (condition estimate {cond})",
-            condition=float(cond),
+            condition=cond,
         ) from failure
     if failure is not None:
         raise NumericError(
             f"lag-0 correlation solve failed (cond={cond:.3e}): {failure}",
-            condition=float(cond),
+            condition=cond,
         ) from failure
     if cond > _COND_WARN:
         logger.warning("lag-0 correlation matrix poorly conditioned: cond=%.3e", cond)
-    return scipy.linalg.cho_solve((c, low), r1.T).T
+    return r1 @ r0_inv
 
 
 def granger_full(corr) -> np.ndarray:

@@ -331,3 +331,63 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "error_tail" in proc.stdout
+
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+
+def linalg_modules():
+    return sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"])
+
+import tomolab
+from tomolab.cli import main
+
+tmp = sys.argv[1]
+seen = {"import tomolab": linalg_modules()}
+with open(tmp + "/rp.json", "w") as fh:
+    json.dump({
+        "n_grid": [40], "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 6,
+        "embedded": {"kind": "match_p"}, "policy": {"rule": "metropolis", "rho": 0.8},
+        "classifier": {"method": "kmeans2"}, "correlations": {"mode": "analytic"},
+        "trials": 2,
+    }, fh)
+with open(tmp + "/pc.json", "w") as fh:
+    json.dump({
+        "n": 40, "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 8,
+        "probe_limit": 8, "policy": {"rule": "metropolis", "rho": 0.8},
+        "sim": {"n_max": 2000, "burn_in": 100}, "trials": 2,
+    }, fh)
+runs = {
+    "generate": ["generate", "--n", "30", "--p", "0.12", "--s-size", "6",
+                 "--seed", "4", "--out", tmp + "/net"],
+    "estimate": ["estimate", "--graph", tmp + "/net/graph.edges",
+                 "--policy", "metropolis", "--rho", "0.8", "--s", "0-5",
+                 "--mode", "empirical", "--n-max", "2000", "--out", tmp + "/est"],
+    "recovery-prob": ["recovery-prob", "--config", tmp + "/rp.json",
+                      "--out", tmp + "/rp"],
+    "patch-catch": ["patch-catch", "--config", tmp + "/pc.json",
+                    "--out", tmp + "/pc"],
+}
+codes = {}
+for name, argv in runs.items():
+    codes[name] = main(argv)
+    seen[name] = linalg_modules()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+class TestImportFootprint:
+    def test_scipy_linalg_never_loads(self, tmp_path):
+        # scipy.linalg brings its own BLAS build into the process; the
+        # package and its CLI need only numpy.linalg and scipy.sparse
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert set(report["codes"].values()) == {0}
+        assert report["seen"] == {
+            stage: [] for stage in ["import tomolab", *report["codes"]]
+        }

@@ -40,6 +40,16 @@ def one_shot_er(n, p, rng):
     return Graph(adj)
 
 
+def loop_checked_members(members):
+    """The member-by-member validation that ``NodeSet`` does with arrays."""
+    for m in members:
+        if not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValueError(f"node ids must be non-negative integers, got {m!r}")
+    if any(a >= b for a, b in zip(members, members[1:])):
+        raise ValueError("node ids must be strictly increasing")
+    return tuple(int(m) for m in members)
+
+
 def reach_within(adj, k):
     """Boolean matrix of pairs at hop distance <= k, by repeated squaring-free
     integer powers (self-loops make the powers cumulative)."""
@@ -124,6 +134,56 @@ class TestNodeSet:
         assert 5 in s and 4 not in s
         assert s[1] == 5
         assert list(s) == [2, 5, 9]
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            (),
+            (0,),
+            (1, 3, 8),
+            (True, 2),
+            (True,),
+            (np.int64(3), 4),
+            (np.uint64(2), np.uint64(2**63)),
+            (1, 2**70),
+            np.array([0, 4, 7]),
+            np.array([0, 4, 7], dtype=np.uint8),
+            (-1, 2),
+            (0, 5, -3),
+            (np.int64(-4),),
+            (-1, 2**63),
+            (2, 1),
+            (1, 1),
+            (0, 3, 3),
+            (1.0, 2),
+            (1, 2.0),
+            ("a", 1),
+            (1, None),
+            ((1, 2), 3),
+            np.array([[1, 2]]),
+            np.array([1.0, 2.0]),
+        ],
+    )
+    def test_validation_matches_member_loop(self, members):
+        try:
+            expected = loop_checked_members(members)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                NodeSet(members)
+            assert str(err.value) == str(exc)
+        else:
+            got = NodeSet(members).members
+            assert got == expected
+            assert all(type(m) is int for m in got)
+
+    @pytest.mark.parametrize("n", [1, 3000, 30000])
+    def test_complement_large_n(self, n):
+        rng = np.random.default_rng(n)
+        inside = NodeSet.of(rng.choice(n + 5, size=min(n, 40), replace=False))
+        got = inside.complement(n)
+        taken = set(inside)
+        assert got.members == tuple(i for i in range(n) if i not in taken)
+        assert all(type(m) is int for m in got.members)
 
 
 class TestSampling:

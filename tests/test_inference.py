@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,45 @@ class TestNumericFailures:
         with pytest.raises(NumericError, match="not finite") as err:
             _solve_estimator(r0, np.eye(2))
         assert math.isnan(err.value.condition)
+
+    def test_failed_factorization_reports_one_norm_condition(self):
+        # indefinite, with 1-norm condition 7.5 and 2-norm condition 4.8
+        r0 = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 1.0], [0.0, 1.0, 0.1]])
+        with pytest.raises(NumericError, match="solve failed") as err:
+            _solve_estimator(r0, np.eye(3))
+        assert err.value.condition == np.linalg.cond(r0, 1)
+        assert err.value.condition == pytest.approx(7.5)
+
+    @pytest.mark.parametrize("cond2, warns", [(0.7e8, False), (0.9e8, True)])
+    def test_warning_threshold_uses_one_norm_condition(self, caplog, cond2, warns):
+        # eigenvalues 1, 1, 1/cond2 along a rotated axis: the 1-norm
+        # condition is 4/3 of the 2-norm one, so 0.9e8 crosses 1e8
+        q = np.full(3, 1.0 / math.sqrt(3.0))
+        r0 = np.eye(3) - (1.0 - 1.0 / cond2) * np.outer(q, q)
+        cond1 = np.linalg.cond(r0, 1)
+        assert np.linalg.cond(r0) < 1e8
+        assert (cond1 > 1e8) == warns
+        with caplog.at_level("WARNING", logger="tomolab.inference"):
+            _solve_estimator(r0, 0.1 * r0)
+        quoted = [rec.args[0] for rec in caplog.records if "poorly" in rec.message]
+        if warns:
+            assert quoted == [pytest.approx(cond1, rel=1e-6)]
+        else:
+            assert quoted == []
+
+
+class TestSolveOracle:
+    @pytest.mark.parametrize("k", [2, 3, 10, 60])
+    def test_matches_cholesky_solve(self, k):
+        rng = np.random.default_rng(500 + k)
+        n = 2 * k + 20
+        g = sample_er(n, min(1.0, 3.0 * math.log(n) / n), rng)
+        a = build_matrix(g, PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
+        corr = analytic_correlations(a, 0.2, NodeSet(tuple(range(k))))
+        c, low = scipy.linalg.cho_factor(corr.r0)
+        oracle = scipy.linalg.cho_solve((c, low), corr.r1.T).T
+        est = granger_truncated(corr)
+        assert np.abs(est - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestThresholdClassifier:
