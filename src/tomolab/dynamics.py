@@ -16,12 +16,19 @@ the error of each column machine epsilon.  The cost is
 ``O(N |S|)`` memory, against ``O(N^3)`` and ``O(N^2)`` for a dense solve.
 
 The simulated path steps ``y <- A y + beta x`` with the CSR ``A``, in
-``O(nnz(A))`` per step, and never builds the dense matrix.  Each step is
-one call of scipy's CSR matrix-vector kernel on the augmented matrix
-``[A | beta I]`` and the stacked vector ``[y; x]``, written into a
-preallocated row.  The kernel adds row ``i``'s ``A`` terms in stored order
-and then ``beta x_i``, which rounds exactly as ``A @ y + beta * x``, and it
-releases the GIL, so trials on separate threads step in parallel.
+``O(nnz(A))`` per step, and never builds the dense matrix.  It unrolls
+``T`` steps into one sparse matrix: ``T`` copies of the rows of
+``[A | beta I]``, copy ``t`` shifted to address the ``y_{t-1}`` and ``x_t``
+slots of one flat work buffer ``[x_1 ... x_T | y_0 y_1 ... y_T]``.  One
+call of scipy's CSR matrix-vector kernel then writes ``y_1 ... y_T`` into
+the tail of that same buffer.  The kernel walks the rows in order and
+stores each row's sum before it reads the next row, so the rows of step
+``t`` read the ``y_{t-1}`` that the call has just written.  Each row adds
+``A``'s terms in stored order and then ``beta x_i``, which rounds exactly
+as ``A @ y + beta * x``.  ``T`` follows from a byte budget on the unrolled
+arrays (:func:`unroll_depth`) and falls to one step per call for large
+matrices.  The kernel releases the GIL, so trials on separate threads step
+in parallel.
 """
 
 from __future__ import annotations
@@ -40,7 +47,10 @@ from .graphs import NodeSet
 from .weights import CombinationMatrix
 
 _CHUNK = 512
-_STEP_ROWS = 64
+# the unrolled step's arrays hold at most this many bytes, and at most
+# _MAX_UNROLL steps; 8 divides _CHUNK, so a noise block needs no short call
+_UNROLL_BYTES = 1 << 20
+_MAX_UNROLL = 8
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 
@@ -101,12 +111,13 @@ class CorrelationSet:
 
     def restrict(self, nodes: NodeSet) -> "CorrelationSet":
         """Correlations of a subset of the observed nodes, in subset order."""
-        pos = []
-        for u in nodes:
-            if u not in self.node_index:
-                raise ValueError(f"node {u} is not covered by these correlations")
-            pos.append(self.node_index.members.index(u))
-        pos = np.asarray(pos, dtype=np.intp)
+        have, want = self.node_index.indices(), nodes.indices()
+        pos = np.searchsorted(have, want)
+        covered = pos < len(have)
+        covered[covered] = have[pos[covered]] == want[covered]
+        if not covered.all():
+            u = nodes[int(np.argmin(covered))]
+            raise ValueError(f"node {u} is not covered by these correlations")
         sub = np.ix_(pos, pos)
         return CorrelationSet(self.r0[sub], self.r1[sub], self.sample_count, nodes)
 
@@ -178,18 +189,39 @@ def _noise_block(rng: np.random.Generator, kind: NoiseKind, rows: int, n: int) -
     return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=(rows, n))
 
 
-def _augmented_step(A: scipy.sparse.csr_array, beta: float) -> scipy.sparse.csr_array:
-    """``[A | beta I]`` as an ``N x 2N`` CSR array.
+def unroll_depth(nnz: int, n: int) -> int:
+    """Steps per kernel call for an ``n``-node matrix with ``nnz`` entries.
 
-    Each row keeps ``A``'s entries in their stored order and ends with its
-    ``beta`` entry, so the kernel sums them in the order ``A @ y`` does.
+    Each unrolled step stores ``nnz + n`` entries at 12 bytes (a float64
+    value and an int32 column), so ``T`` is the number of copies that fit
+    in ``_UNROLL_BYTES``, between 1 and ``_MAX_UNROLL``.
+    """
+    return max(1, min(_MAX_UNROLL, _UNROLL_BYTES // (12 * (nnz + n))))
+
+
+def _unrolled_step(A: scipy.sparse.csr_array, beta: float, steps: int):
+    """CSR arrays ``(indptr, indices, data)`` of ``steps`` chained steps.
+
+    Row ``(t, i)`` holds ``A``'s row ``i`` in stored order on the columns of
+    ``y_t`` and then ``beta`` on the column of ``x_{t+1}[i]``, in a buffer
+    laid out as ``[x_1 ... x_T | y_0 ... y_T]`` with ``T = steps``.  Writing
+    the product into the buffer from ``y_1`` on therefore advances the
+    state ``steps`` times.
     """
     n = A.shape[0]
     ends = A.indptr[1:]
-    indices = np.insert(A.indices, ends, np.arange(n, 2 * n))
+    # one step: [A | beta I] with A's columns moved onto y_0
+    cols = np.insert(A.indices.astype(np.int64) + steps * n, ends, np.arange(n))
     data = np.insert(A.data, ends, beta)
-    indptr = A.indptr + np.arange(n + 1)
-    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, 2 * n))
+    starts = A.indptr[:-1].astype(np.int64) + np.arange(n)
+    per = cols.size
+    # copy t reads y_t and x_{t+1}, both n columns further on per copy
+    copy = np.arange(steps, dtype=np.int64)[:, None]
+    indices = (cols + n * copy).ravel()
+    indptr = np.append((starts + per * copy).ravel(), steps * per)
+    big = max((2 * steps + 1) * n, steps * per) > np.iinfo(np.int32).max
+    itype = np.int64 if big else np.int32
+    return indptr.astype(itype), indices.astype(itype), np.tile(data, steps)
 
 
 def simulate_and_accumulate(
@@ -212,37 +244,39 @@ def simulate_and_accumulate(
     ``(a, cfg, s)``.  When ``dump`` is given, every retained observable
     sample is appended to it as ``n,node_id,y`` CSV rows.
 
-    Each step is a single ``csr_matvec`` call with ``[A | beta I]`` on a row
-    ``[y_{n-1}, x_n]`` of a small work array, written into the zeroed first
-    half of the next row; no array is allocated per step.  The sums round
+    Every ``T = unroll_depth(nnz(A), N)`` steps are one ``csr_matvec``
+    call on the unrolled step (see the module docstring) over one
+    preallocated buffer; no array is allocated per call.  The sums round
     exactly as ``a.sparse @ y + beta * x``, so the result is bit for bit
     that of the plain loop, and the dense view is never built.  Noise is
-    drawn in blocks of ``_CHUNK`` rows, stepped ``_STEP_ROWS`` at a time.
+    drawn in blocks of ``_CHUNK`` rows, and a block of ``rows`` steps takes
+    ``ceil(rows / T)`` calls.
     """
     s.check_within(a.n)
     if len(s) == 0:
         raise ValueError("the observable set must be nonempty")
     n = a.n
     rng = np.random.default_rng(cfg.seed)
-    aug = _augmented_step(a.sparse, cfg.beta)
-    kernel = (n, 2 * n, aug.indptr, aug.indices, aug.data)
-    # row t holds [y_{t-1}, x_t]; the step writes y_t into row t + 1
-    z = np.zeros((_STEP_ROWS + 1, 2 * n))
-    ins = list(z[:-1])
-    outs = [row[:n] for row in z[1:]]
+    steps = unroll_depth(a.sparse.nnz, n)
+    indptr, indices, data = _unrolled_step(a.sparse, cfg.beta, steps)
+    # w = [x_1 ... x_T | y_0 y_1 ... y_T]; the kernel writes from y_1 on
+    w = np.zeros((2 * steps + 1) * n)
+    xs = w[: steps * n].reshape(steps, n)
+    y0 = w[steps * n : (steps + 1) * n]
+    out_flat = w[(steps + 1) * n :]
+    ys = out_flat.reshape(steps, n)
     idx = s.indices()
 
     def advance(noise: np.ndarray, out: np.ndarray | None = None) -> None:
         """Step once per noise row; gather each new state on ``s`` into ``out``."""
-        for lo in range(0, noise.shape[0], _STEP_ROWS):
-            rows = min(_STEP_ROWS, noise.shape[0] - lo)
-            z[1 : rows + 1, :n] = 0.0
-            z[:rows, n:] = noise[lo : lo + rows]
-            for t in range(rows):
-                _sparsetools.csr_matvec(*kernel, ins[t], outs[t])
+        for lo in range(0, noise.shape[0], steps):
+            rows = min(steps, noise.shape[0] - lo)
+            ys[:rows] = 0.0
+            xs[:rows] = noise[lo : lo + rows]
+            _sparsetools.csr_matvec(rows * n, w.size, indptr, indices, data, w, out_flat)
             if out is not None:
-                np.take(z[1 : rows + 1, :n], idx, axis=1, out=out[lo : lo + rows])
-            z[0, :n] = z[rows, :n]
+                np.take(ys[:rows], idx, axis=1, out=out[lo : lo + rows])
+            y0[:] = ys[rows - 1]
 
     done = 0
     while done < cfg.burn_in:
@@ -258,7 +292,7 @@ def simulate_and_accumulate(
         for node, v in zip(s, values):
             dump.write(f"{step},{node},{float(v)!r}\n")
 
-    ys_prev = z[0, idx]
+    ys_prev = y0[idx]
     r0_acc = np.outer(ys_prev, ys_prev)
     r1_acc = np.zeros((k, k))
     if dump is not None:

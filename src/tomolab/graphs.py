@@ -28,6 +28,7 @@ a large stand-in integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -177,6 +178,11 @@ class NodeSet:
             if np.any(ids[1:] <= ids[:-1]):
                 raise ValueError("node ids must be strictly increasing")
             object.__setattr__(self, "members", tuple(ids.tolist()))
+            if np.can_cast(ids.dtype, np.intp):
+                # seed the indices() cache with the array already in hand
+                idx = ids.astype(np.intp)
+                idx.setflags(write=False)
+                self.__dict__["_index"] = idx
             return
         for m in self.members:
             if not isinstance(m, (int, np.integer)) or m < 0:
@@ -204,7 +210,14 @@ class NodeSet:
         return self.members[idx]
 
     def indices(self) -> np.ndarray:
-        return np.asarray(self.members, dtype=np.intp)
+        """The members as a read-only intp array, built once per set."""
+        return self._index
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        idx = np.asarray(self.members, dtype=np.intp)
+        idx.setflags(write=False)
+        return idx
 
     def complement(self, n: int) -> "NodeSet":
         """Nodes of ``0..n-1`` not in this set, in increasing order."""

@@ -115,11 +115,15 @@ def error_matrix(a: CombinationMatrix, s: NodeSet) -> InferenceArtifacts:
     Returns the artifacts with ``a_hat_s = a_s_true + e_s``; when ``s``
     covers every node the error is identically zero.
     """
+    return _error_matrix(a, s, s.complement(a.n))
+
+
+def _error_matrix(a: CombinationMatrix, s: NodeSet, sp: NodeSet) -> InferenceArtifacts:
+    """:func:`error_matrix` with the complement ``sp`` of ``s`` given."""
     s.check_within(a.n)
     if len(s) == 0:
         raise ValueError("the observed set must be nonempty")
     A = a.entries
-    sp = s.complement(a.n)
     si = s.indices()
     B = A @ A
     if len(sp) == 0:
@@ -169,7 +173,7 @@ def h_entry_bound_check(a: CombinationMatrix, g: Graph, s: NodeSet) -> HBoundRep
     s.check_within(a.n)
     rho = a.rho_bound
     sp = s.complement(a.n)
-    arts = error_matrix(a, s)
+    arts = _error_matrix(a, s, sp)
     h = arts.h
     m_pairs = len(sp) * (len(sp) - 1)
     if len(sp) == 0:

@@ -6,6 +6,13 @@ patch pair is probed in turn: estimate the combination submatrix on the
 union of the two patches, classify its pairs, and merge the decisions into
 a growing picture of the region.  Pairs internal to a patch are probed once
 per partner patch, so a tie-break policy settles repeat appearances.
+
+The decisions are one ``|S| x |S|`` int8 matrix (``-1`` undecided, ``0``
+disconnected, ``1`` connected) with a running count of decided pairs.  A
+merge finds the union's positions in ``S`` with one ``searchsorted`` and
+updates its block of the matrix with array operations, so no Python loop
+runs over pairs; the dict of :class:`PairStatus` values is built only when
+``status`` is read.
 """
 
 from __future__ import annotations
@@ -103,58 +110,82 @@ class ExperimentRecord:
 
 
 class ReconstructionState:
-    """Pair decisions over an observable set, filled in experiment by experiment."""
+    """Pair decisions over an observable set, filled in experiment by experiment.
+
+    Only the upper triangle of the int8 code matrix is read or written.
+    """
+
+    # indexed by the code, so -1 picks UNDECIDED
+    _STATUS = (PairStatus.DISCONNECTED, PairStatus.CONNECTED, PairStatus.UNDECIDED)
 
     def __init__(self, s: NodeSet):
         self.s = s
-        self.status: dict[tuple[int, int], PairStatus] = {
-            (s[i], s[j]): PairStatus.UNDECIDED
-            for i in range(len(s))
-            for j in range(i + 1, len(s))
-        }
+        k = len(s)
+        self._code = np.full((k, k), -1, dtype=np.int8)
+        self._upper = np.triu(np.ones((k, k), dtype=bool), 1)
+        self._decided = 0
         self.experiment_log: list[ExperimentRecord] = []
 
+    @property
+    def status(self) -> dict[tuple[int, int], PairStatus]:
+        """Every pair ``(s[i], s[j])`` with ``i < j`` and its current status."""
+        i, j = np.nonzero(self._upper)
+        m = self.s.members
+        codes = self._code[i, j].tolist()
+        return {
+            (m[p], m[q]): self._STATUS[c] for p, q, c in zip(i.tolist(), j.tolist(), codes)
+        }
+
     def decided_count(self) -> int:
-        return sum(1 for v in self.status.values() if v is not PairStatus.UNDECIDED)
+        return self._decided
 
     def absorb(self, union: NodeSet, decided: Graph, tiebreak: TieBreak) -> None:
         """Merge the classified subgraph on ``union`` into the pair map.
 
         Under ``FIRST`` the earliest classification of a pair wins; under
         ``AND`` a pair stays connected only while every experiment that
-        sees it votes connected.
+        sees it votes connected.  A union that reaches outside ``s`` leaves
+        the state untouched.
         """
-        if decided.n != len(union):
+        m = len(union)
+        if decided.n != m:
             raise ValueError("decision graph size does not match the union")
-        for p in range(len(union)):
-            for q in range(p + 1, len(union)):
-                key = (union[p], union[q])
-                if key not in self.status:
-                    raise ValueError(f"pair {key} lies outside the observable set")
-                vote = (
-                    PairStatus.CONNECTED
-                    if decided.adjacency[p, q]
-                    else PairStatus.DISCONNECTED
-                )
-                cur = self.status[key]
-                if cur is PairStatus.UNDECIDED:
-                    self.status[key] = vote
-                elif tiebreak is TieBreak.AND and vote is PairStatus.DISCONNECTED:
-                    self.status[key] = PairStatus.DISCONNECTED
+        if m < 2:
+            return
+        ids = union.indices()
+        members = self.s.indices()
+        pos = np.searchsorted(members, ids)
+        inside = pos < len(members)
+        inside[inside] = members[pos[inside]] == ids[inside]
+        if not inside.all():
+            # the first pair in (p, q) order with an endpoint outside s
+            q = max(1, int(np.argmin(inside)))
+            key = (union[0], union[q])
+            raise ValueError(f"pair {key} lies outside the observable set")
+        # pos ascends, so the union's upper triangle lands on s's upper one
+        block = np.ix_(pos, pos)
+        cur = self._code[block]
+        vote = decided.adjacency.astype(np.int8)
+        open_ = cur < 0
+        if tiebreak is TieBreak.AND:
+            merged = np.where(open_, vote, np.minimum(cur, vote))
+        else:
+            merged = np.where(open_, vote, cur)
+        upper = self._upper[:m, :m]
+        self._code[block] = np.where(upper, merged, cur)
+        self._decided += int(np.count_nonzero(open_ & upper))
 
     def estimated_graph(self) -> Graph:
         """Current decisions as a graph on ``s``; undecided pairs stay open."""
-        k = len(self.s)
-        adj = np.eye(k, dtype=bool)
-        pos = {node: i for i, node in enumerate(self.s)}
-        for (u, v), st in self.status.items():
-            if st is PairStatus.CONNECTED:
-                adj[pos[u], pos[v]] = True
-                adj[pos[v], pos[u]] = True
+        connected = (self._code == 1) & self._upper
+        adj = connected | connected.T
+        np.fill_diagonal(adj, True)
         return Graph(adj, validate=False)
 
     def undecided_pairs(self) -> list[tuple[int, int]]:
-        return [k for k, v in self.status.items() if v is PairStatus.UNDECIDED]
+        i, j = np.nonzero(self._upper & (self._code < 0))
+        m = self.s.members
+        return [(m[p], m[q]) for p, q in zip(i.tolist(), j.tolist())]
 
 
 def graph_distance(g_true: Graph, g_est: Graph) -> float:

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import _sparsetools
 
 from tomolab import (
     CombinationMatrix,
@@ -22,7 +23,14 @@ from tomolab import (
     ring_graph,
     simulate_and_accumulate,
 )
-from tomolab.dynamics import _CHUNK, _noise_block, chebyshev_depth
+from tomolab import dynamics
+from tomolab.dynamics import (
+    _CHUNK,
+    _MAX_UNROLL,
+    _noise_block,
+    chebyshev_depth,
+    unroll_depth,
+)
 from conftest import random_observed_network
 
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
@@ -86,6 +94,45 @@ def plain_loop_simulation(a, cfg, s, dump):
         done += rows
     r0 = r0_acc / (cfg.n_max + 1)
     return 0.5 * (r0 + r0.T), r1_acc / cfg.n_max
+
+
+def matches_plain_loop(a, cfg, s):
+    """Whether the simulator agrees with the plain loop bit for bit, dump too."""
+    got_dump, want_dump = io.StringIO(), io.StringIO()
+    got = simulate_and_accumulate(a, cfg, s, dump=got_dump)
+    want_r0, want_r1 = plain_loop_simulation(a, cfg, s, want_dump)
+    return (
+        np.array_equal(got.r0, want_r0)
+        and np.array_equal(got.r1, want_r1)
+        and got_dump.getvalue() == want_dump.getvalue()
+    )
+
+
+class KernelSpy:
+    """Stands in for ``_sparsetools``: counts ``csr_matvec`` calls.
+
+    ``broken="copied"`` hands the kernel a copy of its input vector;
+    ``broken="reordered"`` runs the rows of each step (``n`` rows) in
+    reverse step order.
+    """
+
+    def __init__(self, broken=None, n=None):
+        self.broken = broken
+        self.n = n
+        self.calls = 0
+
+    def csr_matvec(self, n_row, n_col, indptr, indices, data, x, y):
+        self.calls += 1
+        if self.broken == "copied":
+            x = x.copy()
+        if self.broken == "reordered":
+            for lo in reversed(range(0, n_row, self.n)):
+                hi = lo + self.n
+                _sparsetools.csr_matvec(
+                    self.n, n_col, indptr[lo : hi + 1], indices, data, x, y[lo:hi]
+                )
+            return
+        _sparsetools.csr_matvec(n_row, n_col, indptr, indices, data, x, y)
 
 
 class TestAnalytic:
@@ -231,22 +278,65 @@ class TestEmpirical:
         assert np.abs(got.r0 - 0.5 * (r0 + r0.T)).max() < 1e-10
         assert np.abs(got.r1 - r1).max() < 1e-10
 
-    @pytest.mark.parametrize("burn_in", [0, 1, 600])
+    @pytest.mark.parametrize(
+        "burn_in", sorted({0, 1, _MAX_UNROLL - 1, _MAX_UNROLL, _MAX_UNROLL + 1, 600})
+    )
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_kernel_step_matches_plain_loop_bit_for_bit(self, kind, burn_in):
-        # n_max straddles the 512-row noise blocks; S is partial with gaps
+        # n_max straddles one unrolled call and the 512-row noise blocks;
+        # S is partial with gaps
         rng = np.random.default_rng(55)
         _, _, a, _ = random_observed_network(rng, n_lo=40, n_hi=80)
+        assert unroll_depth(a.sparse.nnz, a.n) == _MAX_UNROLL
         s = NodeSet((1, 4, 5, 11, 23, 37))
-        for n_max in (1, 511, 512, 513, 1200):
+        n_maxes = {1, _MAX_UNROLL - 1, _MAX_UNROLL, _MAX_UNROLL + 1, 511, 512, 513, 1200}
+        for n_max in sorted(n_maxes - {0}):
             cfg = SimConfig(beta=0.45, n_max=n_max, burn_in=burn_in, noise=kind, seed=n_max)
-            got_dump, want_dump = io.StringIO(), io.StringIO()
-            got = simulate_and_accumulate(a, cfg, s, dump=got_dump)
-            want_r0, want_r1 = plain_loop_simulation(a, cfg, s, want_dump)
-            assert np.array_equal(got.r0, want_r0)
-            assert np.array_equal(got.r1, want_r1)
-            assert got_dump.getvalue() == want_dump.getvalue()
+            assert matches_plain_loop(a, cfg, s)
         assert a._dense is None
+
+    @pytest.mark.parametrize("n", [25_000, 7_281])
+    def test_kernel_step_matches_plain_loop_on_large_rings(self, n):
+        # a ring's 3n entries put these sizes at one and three steps per call
+        a = build_matrix(ring_graph(n), MET)
+        depth = unroll_depth(a.sparse.nnz, n)
+        assert depth == (1 if n == 25_000 else 3)
+        s = NodeSet((0, 5, n // 2, n - 1))
+        for steps in (1, depth + 1, 2 * depth + 2):
+            cfg = SimConfig(beta=0.45, n_max=steps, burn_in=steps, seed=steps)
+            assert matches_plain_loop(a, cfg, s)
+        assert a._dense is None
+
+    def test_kernel_calls_per_block(self, monkeypatch):
+        # every noise block of `rows` steps costs ceil(rows / T) kernel calls
+        rng = np.random.default_rng(56)
+        _, s, a, _ = random_observed_network(rng, n_lo=40, n_hi=80)
+        depth = unroll_depth(a.sparse.nnz, a.n)
+        spy = KernelSpy()
+        monkeypatch.setattr(dynamics, "_sparsetools", spy)
+        for burn_in, n_max in ((0, 1), (3, 5), (600, 1200), (1000, 1029)):
+            spy.calls = 0
+            simulate_and_accumulate(
+                a, SimConfig(beta=0.3, n_max=n_max, burn_in=burn_in), s
+            )
+            blocks = [
+                min(_CHUNK, total - lo)
+                for total in (burn_in, n_max)
+                for lo in range(0, total, _CHUNK)
+            ]
+            assert spy.calls == sum(-(-rows // depth) for rows in blocks)
+
+    @pytest.mark.parametrize("broken", ["copied", "reordered"])
+    def test_oracle_catches_a_kernel_that_does_not_chain(self, broken, monkeypatch):
+        # the unrolled step relies on the kernel reading the buffer it
+        # writes, row by row in order; a kernel that read a snapshot of the
+        # input, or ran the step blocks out of order, must fail the oracle
+        rng = np.random.default_rng(57)
+        _, s, a, _ = random_observed_network(rng, n_lo=40, n_hi=80)
+        cfg = SimConfig(beta=0.45, n_max=40, burn_in=20, seed=3)
+        assert matches_plain_loop(a, cfg, s)
+        monkeypatch.setattr(dynamics, "_sparsetools", KernelSpy(broken, a.n))
+        assert not matches_plain_loop(a, cfg, s)
 
     def test_reproducible_and_seed_sensitive(self):
         a = build_matrix(ring_graph(6), MET)
@@ -319,6 +409,42 @@ class TestValidation:
         corr = CorrelationSet(np.eye(2), np.eye(2), 0, NodeSet((1, 5)))
         with pytest.raises(ValueError, match="not covered"):
             corr.restrict(NodeSet((2,)))
+
+    def test_restrict_matches_member_loop(self):
+        # the old per-member lookup, kept as the oracle for restrict
+        def loop_restrict(corr, nodes):
+            pos = []
+            for u in nodes:
+                if u not in corr.node_index:
+                    raise ValueError(f"node {u} is not covered by these correlations")
+                pos.append(corr.node_index.members.index(u))
+            sub = np.ix_(pos, pos)
+            return corr.r0[sub], corr.r1[sub]
+
+        rng = np.random.default_rng(58)
+        for _ in range(40):
+            have = NodeSet.of(rng.choice(60, size=int(rng.integers(1, 20)), replace=False))
+            k = len(have)
+            corr = CorrelationSet(rng.random((k, k)), rng.random((k, k)), 3, have)
+            pool = list(have) if rng.random() < 0.5 else list(range(62))
+            size = int(rng.integers(0, len(pool) + 1))
+            nodes = NodeSet.of(rng.choice(pool, size=size, replace=False))
+            try:
+                want_r0, want_r1 = loop_restrict(corr, nodes)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    corr.restrict(nodes)
+                assert str(err.value) == str(exc)
+                continue
+            got = corr.restrict(nodes)
+            assert np.array_equal(got.r0, want_r0) and np.array_equal(got.r1, want_r1)
+            assert got.node_index == nodes and got.sample_count == 3
+
+    def test_restrict_names_first_uncovered_node(self):
+        corr = CorrelationSet(np.eye(3), np.eye(3), 0, NodeSet((1, 5, 9)))
+        for nodes, first in (((0, 5), 0), ((1, 6, 10), 6), ((5, 9, 12, 13), 12)):
+            with pytest.raises(ValueError, match=f"^node {first} is not covered"):
+                corr.restrict(NodeSet(nodes))
 
     def test_empty_observable_rejected(self):
         a = build_matrix(ring_graph(3), MET)

@@ -176,6 +176,35 @@ class TestNodeSet:
             assert got == expected
             assert all(type(m) is int for m in got)
 
+    @pytest.mark.parametrize(
+        "members",
+        [
+            (),
+            (1, 3, 8),
+            (np.int64(3), 4),
+            (True, 2),
+            np.array([0, 4, 7], dtype=np.uint8),
+            np.array([2, 5, 40000], dtype=np.int32),
+            np.arange(0, 30000, 7),  # the int64 array a complement passes in
+        ],
+    )
+    def test_indices_cached_read_only(self, members):
+        source = np.array(members, copy=True) if isinstance(members, np.ndarray) else None
+        s = NodeSet(members)
+        if source is not None:
+            members[:] = 0  # the caller's array must not leak into the set
+        idx = s.indices()
+        assert idx is s.indices()
+        assert idx.dtype == np.intp and not idx.flags.writeable
+        assert np.array_equal(idx, np.asarray(s.members, dtype=np.intp))
+        if source is not None:
+            assert np.array_equal(idx, source)
+        with pytest.raises(ValueError):
+            idx[:1] = 1
+        # the cache is no field: equality, hashing and repr see members only
+        fresh = NodeSet(tuple(s.members))
+        assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+
     @pytest.mark.parametrize("n", [1, 3000, 30000])
     def test_complement_large_n(self, n):
         rng = np.random.default_rng(n)

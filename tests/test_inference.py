@@ -121,6 +121,20 @@ class TestHiddenBlockBounds:
         assert report.ok
         assert report.vacuous_pairs >= 2 * 4
 
+    def test_complement_built_once(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        g, s, a, _ = random_observed_network(rng)
+        calls = []
+        complement = NodeSet.complement
+
+        def counted(self, n):
+            calls.append(n)
+            return complement(self, n)
+
+        monkeypatch.setattr(NodeSet, "complement", counted)
+        assert h_entry_bound_check(a, g, s).ok
+        assert calls == [a.n]
+
     def test_full_observation_report(self):
         rng = np.random.default_rng(69)
         _, _, a, _ = random_observed_network(rng)

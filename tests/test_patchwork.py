@@ -130,6 +130,100 @@ class TestDecisionMerging:
             state.absorb(self.u, edgeless_graph(4), TieBreak.FIRST)
 
 
+class DictReconstructionState:
+    """The dict-of-``PairStatus`` merge state, kept as the oracle."""
+
+    def __init__(self, s):
+        self.s = s
+        self.status = {
+            (s[i], s[j]): PairStatus.UNDECIDED
+            for i in range(len(s))
+            for j in range(i + 1, len(s))
+        }
+
+    def decided_count(self):
+        return sum(1 for v in self.status.values() if v is not PairStatus.UNDECIDED)
+
+    def absorb(self, union, decided, tiebreak):
+        if decided.n != len(union):
+            raise ValueError("decision graph size does not match the union")
+        for p in range(len(union)):
+            for q in range(p + 1, len(union)):
+                key = (union[p], union[q])
+                if key not in self.status:
+                    raise ValueError(f"pair {key} lies outside the observable set")
+                vote = (
+                    PairStatus.CONNECTED
+                    if decided.adjacency[p, q]
+                    else PairStatus.DISCONNECTED
+                )
+                cur = self.status[key]
+                if cur is PairStatus.UNDECIDED:
+                    self.status[key] = vote
+                elif tiebreak is TieBreak.AND and vote is PairStatus.DISCONNECTED:
+                    self.status[key] = PairStatus.DISCONNECTED
+
+    def estimated_graph(self):
+        k = len(self.s)
+        adj = np.eye(k, dtype=bool)
+        pos = {node: i for i, node in enumerate(self.s)}
+        for (u, v), st in self.status.items():
+            if st is PairStatus.CONNECTED:
+                adj[pos[u], pos[v]] = True
+                adj[pos[v], pos[u]] = True
+        return adj
+
+    def undecided_pairs(self):
+        return [k for k, v in self.status.items() if v is PairStatus.UNDECIDED]
+
+
+def random_vote(rng, m):
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if rng.random() < 0.5]
+    return from_edges(m, pairs)
+
+
+class TestMergeStateOracle:
+    @pytest.mark.parametrize("tiebreak", list(TieBreak))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dict_state_after_every_absorb(self, tiebreak, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 30))
+        s = NodeSet.of(rng.choice(200, size=k, replace=False))
+        state, oracle = ReconstructionState(s), DictReconstructionState(s)
+        for _ in range(25):
+            m = int(rng.integers(0, min(k, 10) + 1))
+            union = NodeSet.of(rng.choice(s.members, size=m, replace=False))
+            vote = random_vote(rng, m)
+            state.absorb(union, vote, tiebreak)
+            oracle.absorb(union, vote, tiebreak)
+            assert list(state.status.items()) == list(oracle.status.items())
+            assert state.decided_count() == oracle.decided_count()
+            assert state.undecided_pairs() == oracle.undecided_pairs()
+            assert np.array_equal(state.estimated_graph().adjacency, oracle.estimated_graph())
+
+    @pytest.mark.parametrize(
+        "union",
+        [(0, 5), (5, 7), (2, 5), (1, 2, 3, 9), (0, 1, 2, 3, 5), (3, 4, 8), (0, 4, 6, 7)],
+    )
+    def test_outside_pair_error_matches(self, union):
+        s = NodeSet((0, 1, 2, 3, 4, 6))
+        union = NodeSet(union)
+        vote = random_vote(np.random.default_rng(len(union)), len(union))
+        with pytest.raises(ValueError) as want:
+            DictReconstructionState(s).absorb(union, vote, TieBreak.FIRST)
+        state = ReconstructionState(s)
+        with pytest.raises(ValueError) as got:
+            state.absorb(union, vote, TieBreak.FIRST)
+        assert str(got.value) == str(want.value)
+        # the rejected union leaves no partial decisions behind
+        assert state.decided_count() == 0
+
+    def test_single_outside_node_has_no_pair(self):
+        state = ReconstructionState(NodeSet((0, 1)))
+        state.absorb(NodeSet((7,)), edgeless_graph(1), TieBreak.FIRST)
+        assert state.decided_count() == 0
+
+
 def small_campaign(seed=0, tiebreak=TieBreak.FIRST, shared=True):
     """12 observable nodes in a 60-node network, three patches of four."""
     n, s_size = 60, 12
