@@ -20,8 +20,8 @@ The simulated path steps ``y <- A y + beta x`` with the CSR ``A``, in
 ``T`` steps into one sparse matrix: ``T`` copies of the rows of
 ``[A | beta I]``, copy ``t`` shifted to address the ``y_{t-1}`` and ``x_t``
 slots of one flat work buffer ``[x_1 ... x_T | y_0 y_1 ... y_T]``.  One
-call of scipy's CSR matrix-vector kernel then writes ``y_1 ... y_T`` into
-the tail of that same buffer.  The kernel walks the rows in order and
+call of the CSR matrix-vector kernel then writes ``y_1 ... y_T`` into the
+tail of that same buffer.  The kernel walks the rows in order and
 stores each row's sum before it reads the next row, so the rows of step
 ``t`` read the ``y_{t-1}`` that the call has just written.  Each row adds
 ``A``'s terms in stored order and then ``beta x_i``, which rounds exactly
@@ -29,6 +29,13 @@ as ``A @ y + beta * x``.  ``T`` follows from a byte budget on the unrolled
 arrays (:func:`unroll_depth`) and falls to one step per call for large
 matrices.  The kernel releases the GIL, so trials on separate threads step
 in parallel.
+
+Both paths call scipy's compiled CSR kernels: ``csr_matvecs`` on the
+matrix's own arrays, ``csr_matvec`` on the unrolled step.  They are loaded
+straight from scipy's extension file (:mod:`tomolab._kernels`), so the
+``scipy.sparse`` package is never imported.  The Chebyshev products make
+the call that scipy's ``A @ X`` makes, into a zeroed output, so they round
+as it does.
 """
 
 from __future__ import annotations
@@ -39,12 +46,13 @@ from enum import Enum
 from typing import TextIO
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse import _sparsetools
 
+from ._kernels import load_sparsetools
 from .errors import NumericError
 from .graphs import NodeSet
 from .weights import CombinationMatrix
+
+_sparsetools = load_sparsetools()
 
 _CHUNK = 512
 # the unrolled step's arrays hold at most this many bytes, and at most
@@ -155,20 +163,30 @@ def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> Corr
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     s.check_within(a.n)
-    A = a.sparse
     idx = s.indices()
+    n, k = a.n, len(idx)
     rho2 = a.rho_bound * a.rho_bound
     theta = 1.0 - 0.5 * rho2
     delta = 0.5 * rho2
     sigma = theta / delta
-    r = np.zeros((a.n, len(idx)))
-    r[idx, np.arange(len(idx))] = 1.0
+    ad, aad = np.empty((n, k)), np.empty((n, k))
+
+    def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``A @ x`` into ``out``, by the zeroing and kernel call of scipy's ``@``."""
+        out[:] = 0.0
+        _sparsetools.csr_matvecs(
+            n, n, k, a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+        )
+        return out
+
+    r = np.zeros((n, k))
+    r[idx, np.arange(k)] = 1.0
     x = np.zeros_like(r)
     d = r / theta
     ratio = 1.0 / sigma
     for _ in range(chebyshev_depth(a.rho_bound)):
         x += d
-        r -= d - A @ (A @ d)
+        r -= d - product(product(d, ad), aad)
         nxt = 1.0 / (2.0 * sigma - ratio)
         d = (nxt * ratio) * d + (2.0 * nxt / delta) * r
         ratio = nxt
@@ -177,7 +195,7 @@ def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> Corr
         raise NumericError("the Chebyshev solve for R0 is not finite")
     r0 = cols[idx]
     r0 = 0.5 * (r0 + r0.T)
-    r1 = A[idx] @ cols
+    r1 = product(cols, ad)[idx]
     return CorrelationSet(r0, r1, 0, s)
 
 
@@ -199,7 +217,7 @@ def unroll_depth(nnz: int, n: int) -> int:
     return max(1, min(_MAX_UNROLL, _UNROLL_BYTES // (12 * (nnz + n))))
 
 
-def _unrolled_step(A: scipy.sparse.csr_array, beta: float, steps: int):
+def _unrolled_step(a: CombinationMatrix, beta: float, steps: int):
     """CSR arrays ``(indptr, indices, data)`` of ``steps`` chained steps.
 
     Row ``(t, i)`` holds ``A``'s row ``i`` in stored order on the columns of
@@ -208,12 +226,12 @@ def _unrolled_step(A: scipy.sparse.csr_array, beta: float, steps: int):
     the product into the buffer from ``y_1`` on therefore advances the
     state ``steps`` times.
     """
-    n = A.shape[0]
-    ends = A.indptr[1:]
+    n = a.n
+    ends = a.indptr[1:]
     # one step: [A | beta I] with A's columns moved onto y_0
-    cols = np.insert(A.indices.astype(np.int64) + steps * n, ends, np.arange(n))
-    data = np.insert(A.data, ends, beta)
-    starts = A.indptr[:-1].astype(np.int64) + np.arange(n)
+    cols = np.insert(a.indices.astype(np.int64) + steps * n, ends, np.arange(n))
+    data = np.insert(a.data, ends, beta)
+    starts = a.indptr[:-1].astype(np.int64) + np.arange(n)
     per = cols.size
     # copy t reads y_t and x_{t+1}, both n columns further on per copy
     copy = np.arange(steps, dtype=np.int64)[:, None]
@@ -247,18 +265,18 @@ def simulate_and_accumulate(
     Every ``T = unroll_depth(nnz(A), N)`` steps are one ``csr_matvec``
     call on the unrolled step (see the module docstring) over one
     preallocated buffer; no array is allocated per call.  The sums round
-    exactly as ``a.sparse @ y + beta * x``, so the result is bit for bit
-    that of the plain loop, and the dense view is never built.  Noise is
-    drawn in blocks of ``_CHUNK`` rows, and a block of ``rows`` steps takes
-    ``ceil(rows / T)`` calls.
+    exactly as ``A @ y + beta * x`` with a scipy CSR ``A``, so the result
+    is bit for bit that of the plain loop, and the dense view is never
+    built.  Noise is drawn in blocks of ``_CHUNK`` rows, and a block of
+    ``rows`` steps takes ``ceil(rows / T)`` calls.
     """
     s.check_within(a.n)
     if len(s) == 0:
         raise ValueError("the observable set must be nonempty")
     n = a.n
     rng = np.random.default_rng(cfg.seed)
-    steps = unroll_depth(a.sparse.nnz, n)
-    indptr, indices, data = _unrolled_step(a.sparse, cfg.beta, steps)
+    steps = unroll_depth(a.nnz, n)
+    indptr, indices, data = _unrolled_step(a, cfg.beta, steps)
     # w = [x_1 ... x_T | y_0 y_1 ... y_T]; the kernel writes from y_1 on
     w = np.zeros((2 * steps + 1) * n)
     xs = w[: steps * n].reshape(steps, n)

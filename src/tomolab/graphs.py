@@ -33,6 +33,10 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
+# numpy 2 imports numpy.random on first use; importing it with the package
+# puts that cost into start-up instead of the first sampling call
+import numpy.random  # noqa: F401
+
 INFINITE = float("inf")
 
 # Uniforms drawn per block by the Erdos-Renyi samplers (2 MB of float64).

@@ -12,7 +12,8 @@ bounded by ``rho^r / (1 - rho^2)`` where ``r`` is the distance between
 ``l`` and ``m`` after all edges internal to ``S`` are cut.
 
 The estimator's ``|S| x |S|`` solve runs on ``numpy.linalg`` alone, so
-importing the package loads numpy's BLAS and not scipy's second copy.
+the package never imports ``scipy.linalg`` and a process maps numpy's BLAS
+only, not scipy's second copy.
 """
 
 from __future__ import annotations

@@ -112,7 +112,8 @@ class ExperimentRecord:
 class ReconstructionState:
     """Pair decisions over an observable set, filled in experiment by experiment.
 
-    Only the upper triangle of the int8 code matrix is read or written.
+    Only the upper triangle of the int8 code matrix is written; the rest
+    stays ``-1``.
     """
 
     # indexed by the code, so -1 picks UNDECIDED
@@ -182,6 +183,16 @@ class ReconstructionState:
         np.fill_diagonal(adj, True)
         return Graph(adj, validate=False)
 
+    def distance(self, truth_upper: np.ndarray) -> float:
+        """``graph_distance(truth, self.estimated_graph())``, without the graph.
+
+        ``truth_upper`` is ``np.triu(truth.adjacency, 1)`` on ``s``.  The
+        code matrix is ``-1`` off the upper triangle, so its connected
+        pairs are the estimate's upper triangle.
+        """
+        diff = np.count_nonzero((self._code == 1) != truth_upper)
+        return _pair_fraction(diff, len(self.s))
+
     def undecided_pairs(self) -> list[tuple[int, int]]:
         i, j = np.nonzero(self._upper & (self._code < 0))
         m = self.s.members
@@ -198,11 +209,15 @@ def graph_distance(g_true: Graph, g_est: Graph) -> float:
         raise ValueError(
             f"graph orders differ ({g_true.n} != {g_est.n}); cannot compare"
         )
-    k = g_true.n
+    diff = np.triu(g_true.adjacency ^ g_est.adjacency, 1).sum()
+    return _pair_fraction(diff, g_true.n)
+
+
+def _pair_fraction(count, k: int) -> float:
+    """``count`` as a fraction of the ``k (k - 1) / 2`` node pairs; 0 below two nodes."""
     if k < 2:
         return 0.0
-    diff = np.triu(g_true.adjacency ^ g_est.adjacency, 1).sum()
-    return 2.0 * float(diff) / (k * (k - 1))
+    return 2.0 * float(count) / (k * (k - 1))
 
 
 def run_patch_catch(
@@ -239,6 +254,7 @@ def run_patch_catch(
                 )
 
     state = ReconstructionState(s_all)
+    truth_upper = None if truth is None else np.triu(truth.adjacency, 1)
     shared: CorrelationSet | None = None
     if shared_trajectory and plan.patch_count > 1:
         shared = simulate_and_accumulate(a, cfg, s_all)
@@ -261,9 +277,7 @@ def run_patch_catch(
             est = symmetrize(granger_truncated(corr))
             decided = classify_kmeans2(est)
             state.absorb(union, decided, tiebreak)
-            dist = None
-            if truth is not None:
-                dist = graph_distance(truth, state.estimated_graph())
+            dist = None if truth_upper is None else state.distance(truth_upper)
             state.experiment_log.append(
                 ExperimentRecord(
                     exp_index, j, i, union, decided, state.decided_count(), dist

@@ -11,12 +11,16 @@ Degrees count the self-loop, so ``d_i = |N_i|`` with ``i`` included.
 Matrices are symmetric, entrywise non-negative, and have spectral radius
 at most ``rho``.
 
-A :class:`CombinationMatrix` stores its weights as a CSR array
-(``.sparse``), the only stored form: the builders fill the graph's own CSR
-pattern (``indptr``/``indices``, self-loops included), so neither an
-``N x N`` float array nor the graph's dense view is made, and
-:func:`check_weight_floor` compares the two CSR forms.  ``.entries`` is a
-read-only dense view, built from the CSR on first access and cached.
+A :class:`CombinationMatrix` stores its weights as read-only CSR arrays
+(``indptr``/``indices``/``data``), the only stored form: the builders fill
+the graph's own CSR pattern (self-loops included), so neither an ``N x N``
+float array nor the graph's dense view is made, and
+:func:`check_weight_floor` compares the two patterns entry by entry.
+``.entries`` is a read-only dense view and ``.sparse`` a scipy
+``csr_array`` over the same buffers, each built on first access and
+cached.  No code path of the package reads ``.sparse``, so tomolab never
+imports the ``scipy.sparse`` package itself; the view serves tests and
+callers that work with scipy.
 """
 
 from __future__ import annotations
@@ -28,9 +32,8 @@ from enum import Enum
 from typing import TextIO
 
 import numpy as np
-import scipy.sparse
 
-from .graphs import Graph, from_edges, max_degree
+from .graphs import Graph, _compressed, _entry_rows, from_edges, max_degree
 
 TOL = 1e-12
 
@@ -58,66 +61,106 @@ class PolicyParams:
 class CombinationMatrix:
     """Non-negative symmetric weights whose rows sum to at most ``rho_bound``.
 
-    ``entries`` may be a dense array-like or a scipy sparse matrix; either
-    way the weights are kept as a CSR array whose buffers are read-only.
+    ``entries`` may be a dense array-like or a scipy sparse matrix.  A
+    dense input is validated with numpy and keeps its nonzero entries; a
+    sparse one (any object with ``tocsr``, whose creator has loaded scipy)
+    is validated with scipy and keeps its stored entries, explicit zeros
+    included, with duplicates summed.  Either way the weights are kept as
+    CSR arrays ``indptr``/``indices``/``data`` of one index dtype, all
+    read-only.
     """
 
-    __slots__ = ("sparse", "rho_bound", "_dense")
+    __slots__ = ("indptr", "indices", "data", "rho_bound", "_dense", "_sparse")
 
     def __init__(self, entries, rho_bound: float, validate: bool = True):
-        if scipy.sparse.issparse(entries):
-            dense = None
-            sparse = scipy.sparse.csr_array(entries, dtype=np.float64, copy=True)
+        if hasattr(entries, "tocsr"):
+            from scipy.sparse import csr_array
+
+            m = csr_array(entries, dtype=np.float64, copy=True)
+            m.sum_duplicates()
+            self._store(m.indptr, m.indices, m.data, rho_bound, None)
         else:
-            dense = np.array(entries, dtype=np.float64)
-            if dense.ndim != 2:
+            m = np.array(entries, dtype=np.float64)
+            if m.ndim != 2:
                 raise ValueError("entries must form a square matrix")
-            dense.setflags(write=False)
-            sparse = scipy.sparse.csr_array(dense)
+            m.setflags(write=False)
+            rows, cols = np.nonzero(m)
+            indptr, indices = _compressed(np.bincount(rows, minlength=len(m)), cols)
+            self._store(indptr, indices, m[rows, cols], rho_bound, m)
         if validate:
-            if sparse.shape[0] != sparse.shape[1]:
+            # m is the dense array or the scipy matrix; both take these checks
+            if m.shape[0] != m.shape[1]:
                 raise ValueError("entries must form a square matrix")
             if not 0.0 < rho_bound < 1.0:
                 raise ValueError(f"rho_bound must lie in (0, 1), got {rho_bound}")
-            if abs(sparse - sparse.T).max() > TOL:
+            if abs(m - m.T).max() > TOL:
                 raise ValueError("combination matrix must be symmetric")
-            if sparse.min() < -TOL:
+            if m.min() < -TOL:
                 raise ValueError("combination matrix entries must be non-negative")
-            if sparse.sum(axis=1).max() > rho_bound + TOL:
+            if self.row_sums().max() > rho_bound + TOL:
                 raise ValueError(f"row sums must not exceed rho = {rho_bound}")
-        sparse.sum_duplicates()
-        for buf in (sparse.data, sparse.indices, sparse.indptr):
+
+    def _store(self, indptr, indices, data, rho_bound: float, dense) -> None:
+        """Keep the CSR arrays read-only, both index arrays in one dtype."""
+        itype = np.promote_types(indptr.dtype, indices.dtype)
+        self.indptr = indptr.astype(itype, copy=False)
+        self.indices = indices.astype(itype, copy=False)
+        self.data = data
+        for buf in (self.indptr, self.indices, self.data):
             buf.setflags(write=False)
-        self.sparse = sparse
         self.rho_bound = float(rho_bound)
         self._dense = dense
+        self._sparse = None
 
     @property
     def entries(self) -> np.ndarray:
         """Read-only dense view of the weights, built on first access."""
         if self._dense is None:
-            dense = self.sparse.toarray()
+            dense = np.zeros((self.n, self.n))
+            dense[_entry_rows(self), self.indices] = self.data
             dense.setflags(write=False)
             self._dense = dense
         return self._dense
 
     @property
+    def sparse(self):
+        """scipy ``csr_array`` over the stored buffers, built on first access.
+
+        The first access imports ``scipy.sparse``.
+        """
+        if self._sparse is None:
+            from scipy.sparse import csr_array
+
+            csr = (self.data, self.indices, self.indptr)
+            self._sparse = csr_array(csr, shape=(self.n, self.n), copy=False)
+        return self._sparse
+
+    @property
     def n(self) -> int:
-        return self.sparse.shape[0]
+        return self.indptr.size - 1
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries, explicit zeros of a sparse input included."""
+        return self.data.size
 
     def row_sums(self) -> np.ndarray:
-        return self.sparse.sum(axis=1)
+        """Each row's stored entries summed in order, as scipy's ``sum(axis=1)``."""
+        sums = np.zeros(self.n)
+        full = np.flatnonzero(np.diff(self.indptr))
+        sums[full] = np.add.reduceat(self.data, self.indptr[full])
+        return sums
 
     def support_graph(self) -> Graph:
         """Graph of strictly positive off-diagonal entries, self-loops forced.
 
         The weights are symmetric, so the upper triangle is read.  Zeros
-        stored explicitly in the CSR, which a sparse input may carry,
-        are not part of the support.
+        stored explicitly, which a sparse input may carry, are not part of
+        the support.
         """
-        coo = self.sparse.tocoo()
-        upper = (coo.row < coo.col) & (coo.data > 0.0)
-        return from_edges(self.n, np.column_stack([coo.row[upper], coo.col[upper]]))
+        rows = _entry_rows(self)
+        upper = (rows < self.indices) & (self.data > 0.0)
+        return from_edges(self.n, np.column_stack([rows[upper], self.indices[upper]]))
 
     def save_csv(self, dest: str | TextIO) -> None:
         """One matrix row per line, for debugging and external inspection."""
@@ -144,9 +187,11 @@ def _support(g: Graph):
     return rows, g.indices, rows == g.indices, deg
 
 
-def _csr(data: np.ndarray, g: Graph) -> scipy.sparse.csr_array:
-    """CSR array with the sparsity pattern of ``g`` and values ``data``."""
-    return scipy.sparse.csr_array((data, g.indices, g.indptr), shape=(g.n, g.n))
+def _on_graph(g: Graph, data: np.ndarray, rho: float) -> CombinationMatrix:
+    """Weights ``data`` on the CSR pattern of ``g``, trusted as valid."""
+    a = CombinationMatrix.__new__(CombinationMatrix)
+    a._store(g.indptr, g.indices, data, rho, None)
+    return a
 
 
 def laplacian_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
@@ -157,7 +202,7 @@ def laplacian_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
     dmax = int(deg.max())
     data = np.full(rows.size, params.rho * params.lam / dmax)
     data[loops] = params.rho * (1.0 - params.lam * (deg - 1) / dmax)
-    return CombinationMatrix(_csr(data, g), params.rho, validate=False)
+    return _on_graph(g, data, params.rho)
 
 
 def metropolis_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
@@ -169,7 +214,7 @@ def metropolis_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
     ratio[loops] = 0.0
     data = params.rho * ratio
     data[loops] = params.rho * (1.0 - np.bincount(rows, weights=ratio, minlength=g.n))
-    return CombinationMatrix(_csr(data, g), params.rho, validate=False)
+    return _on_graph(g, data, params.rho)
 
 
 def build_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
@@ -195,12 +240,22 @@ def check_weight_floor(a: CombinationMatrix, g: Graph, gamma: float) -> bool:
 
     Slack down to ``-1e-12`` is tolerated so exact-equality constructions
     (the Laplacian rule with ``gamma = rho*lam``) pass under rounding.
-    The slack is taken on the sparse difference; a pair stored in neither
-    CSR has zero slack and cannot fail.
+    The slack ``a_ij - floor_ij`` is taken on every pair stored in either
+    CSR pattern, in the order a sparse difference rounds it; a pair stored
+    in neither has zero slack and cannot fail.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    floor = _csr(np.full(g.indices.size, gamma / max_degree(g)), g)
-    slack = (a.sparse - floor).tocoo()
-    off = slack.row != slack.col
-    return bool(slack.data[off].min(initial=np.inf) >= -TOL)
+    if a.n != g.n:
+        raise ValueError(f"matrix order {a.n} differs from graph order {g.n}")
+    keys = np.concatenate([_entry_keys(a), _entry_keys(g)])
+    terms = np.concatenate([a.data, np.full(g.indices.size, -gamma / max_degree(g))])
+    pairs, at = np.unique(keys, return_inverse=True)
+    slack = np.bincount(at, weights=terms)
+    off = pairs // g.n != pairs % g.n
+    return bool(slack[off].min(initial=np.inf) >= -TOL)
+
+
+def _entry_keys(m: Graph | CombinationMatrix) -> np.ndarray:
+    """Key ``i * n + j`` of every stored entry ``(i, j)``, in stored order."""
+    return _entry_rows(m).astype(np.int64) * m.n + m.indices

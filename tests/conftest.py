@@ -1,4 +1,4 @@
-"""Shared builders for randomized test instances."""
+"""Shared builders for randomized test instances, and a bitwise comparison."""
 
 import numpy as np
 
@@ -48,3 +48,9 @@ def random_observed_network(
 
 def a_for(g, params):
     return build_matrix(g, params)
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes: bit for bit, ``-0.0`` and NaN payloads included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

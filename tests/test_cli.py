@@ -336,14 +336,25 @@ class TestEntryPoint:
 _FOOTPRINT_SCRIPT = """
 import json, sys
 
-def linalg_modules():
-    return sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"])
+KERNELS = "scipy.sparse._sparsetools"
+
+def scipy_modules():
+    # scipy.linalg and scipy.sparse modules, bar the compiled CSR kernels
+    return {
+        package: sorted(
+            m for m in sys.modules
+            if m.split(".")[:2] == ["scipy", package] and m != KERNELS
+        )
+        for package in ("linalg", "sparse")
+    }
 
 import tomolab
+numpy_random = "numpy.random" in sys.modules
 from tomolab.cli import main
 
 tmp = sys.argv[1]
-seen = {"import tomolab": linalg_modules()}
+seen = {"import tomolab": scipy_modules()}
+kernels = sys.modules.get(KERNELS)
 with open(tmp + "/rp.json", "w") as fh:
     json.dump({
         "n_grid": [40], "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 6,
@@ -371,23 +382,57 @@ runs = {
 codes = {}
 for name, argv in runs.items():
     codes[name] = main(argv)
-    seen[name] = linalg_modules()
-print(json.dumps({"codes": codes, "seen": seen}))
+    seen[name] = scipy_modules()
+
+# a later import of the package reuses the kernels the loader registered
+import scipy.sparse
+from scipy.sparse import _sparsetools
+product = scipy.sparse.csr_array([[0.0, 2.0], [1.0, 0.0]]) @ [1.0, 3.0]
+print(json.dumps({
+    "codes": codes,
+    "seen": seen,
+    "numpy_random": numpy_random,
+    "kernels_loaded": kernels is not None,
+    "kernels_reused": _sparsetools is kernels and product.tolist() == [6.0, 1.0],
+}))
 """
 
 
+@pytest.fixture(scope="module")
+def footprint(tmp_path_factory):
+    """Modules loaded by ``import tomolab`` and each CLI command, in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path_factory.mktemp("footprint"))],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(report["codes"].values()) == {0}
+    return report
+
+
 class TestImportFootprint:
-    def test_scipy_linalg_never_loads(self, tmp_path):
+    def test_scipy_linalg_never_loads(self, footprint):
         # scipy.linalg brings its own BLAS build into the process; the
-        # package and its CLI need only numpy.linalg and scipy.sparse
-        proc = subprocess.run(
-            [sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert set(report["codes"].values()) == {0}
-        assert report["seen"] == {
-            stage: [] for stage in ["import tomolab", *report["codes"]]
+        # package and its CLI need only numpy.linalg
+        stages = ["import tomolab", *footprint["codes"]]
+        assert {stage: footprint["seen"][stage]["linalg"] for stage in stages} == {
+            stage: [] for stage in stages
         }
+
+    def test_scipy_sparse_never_loads(self, footprint):
+        # importing the scipy.sparse package costs about 200 ms and 15 MB;
+        # tomolab loads only scipy's compiled CSR kernels, and a later
+        # import of the package reuses them
+        stages = ["import tomolab", *footprint["codes"]]
+        assert {stage: footprint["seen"][stage]["sparse"] for stage in stages} == {
+            stage: [] for stage in stages
+        }
+        assert footprint["kernels_loaded"]
+        assert footprint["kernels_reused"]
+
+    def test_numpy_random_loads_with_the_package(self, footprint):
+        # numpy 2 imports numpy.random on first use, which would otherwise
+        # land inside the first sampling call
+        assert footprint["numpy_random"]

@@ -1,10 +1,13 @@
 """Stationary correlations: exact solves and streamed empirical estimates."""
 
+import importlib.machinery
 import io
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.sparse import _sparsetools
 
 from tomolab import (
@@ -24,6 +27,7 @@ from tomolab import (
     simulate_and_accumulate,
 )
 from tomolab import dynamics
+from tomolab._kernels import load_sparsetools
 from tomolab.dynamics import (
     _CHUNK,
     _MAX_UNROLL,
@@ -31,7 +35,7 @@ from tomolab.dynamics import (
     chebyshev_depth,
     unroll_depth,
 )
-from conftest import random_observed_network
+from conftest import random_observed_network, same_bits
 
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
 
@@ -49,6 +53,30 @@ def cholesky_correlations(a, beta, s):
     r1_full = A @ r0_full
     sub = np.ix_(s.indices(), s.indices())
     return r0_full[sub], r1_full[sub]
+
+
+def scipy_chebyshev_correlations(a, beta, s):
+    """The Chebyshev solve with scipy's ``@`` on the ``.sparse`` view."""
+    A = a.sparse
+    idx = s.indices()
+    rho2 = a.rho_bound * a.rho_bound
+    theta = 1.0 - 0.5 * rho2
+    delta = 0.5 * rho2
+    sigma = theta / delta
+    r = np.zeros((a.n, len(idx)))
+    r[idx, np.arange(len(idx))] = 1.0
+    x = np.zeros_like(r)
+    d = r / theta
+    ratio = 1.0 / sigma
+    for _ in range(chebyshev_depth(a.rho_bound)):
+        x += d
+        r -= d - A @ (A @ d)
+        nxt = 1.0 / (2.0 * sigma - ratio)
+        d = (nxt * ratio) * d + (2.0 * nxt / delta) * r
+        ratio = nxt
+    cols = beta * beta * x
+    r0 = cols[idx]
+    return 0.5 * (r0 + r0.T), A[idx] @ cols
 
 
 def plain_loop_simulation(a, cfg, s, dump):
@@ -180,6 +208,38 @@ class TestAnalytic:
                 assert np.abs(corr.r0 - want_r0).max() < 1e-12
                 assert np.abs(corr.r1 - want_r1).max() < 1e-12
 
+    @pytest.mark.parametrize("rule", list(CombinationRule))
+    def test_matches_scipy_matmul_bit_for_bit(self, rule):
+        # |S| = 1 is where scipy's @ switches from csr_matvecs to csr_matvec
+        rng = np.random.default_rng(57 + (rule is CombinationRule.LAPLACIAN))
+        for trial in range(12):
+            n_hi = 300 if trial % 4 == 0 else 60
+            _, s, a, _ = random_observed_network(rng, n_lo=5, n_hi=n_hi, s_lo=1, rule=rule)
+            sets = (s, NodeSet((s[0],)))
+            got = [analytic_correlations(a, 0.6, nodes) for nodes in sets]
+            assert a._sparse is None
+            for nodes, corr in zip(sets, got):
+                want_r0, want_r1 = scipy_chebyshev_correlations(a, 0.6, nodes)
+                assert same_bits(corr.r0, want_r0)
+                assert same_bits(corr.r1, want_r1)
+
+    def test_scipy_input_matches_scipy_matmul_bit_for_bit(self):
+        # an explicit zero at (0, 2) and an empty row 1
+        w = scipy.sparse.csr_array(
+            (
+                np.array([0.3, 0.0, 0.0, 0.5, 0.1, 0.1]),
+                np.array([0, 2, 0, 2, 3, 2]),
+                np.array([0, 2, 2, 5, 6]),
+            ),
+            shape=(4, 4),
+        )
+        a = CombinationMatrix(w, 0.7)
+        for nodes in (NodeSet((0, 2, 3)), NodeSet((1,)), full_set(a)):
+            corr = analytic_correlations(a, 0.6, nodes)
+            want_r0, want_r1 = scipy_chebyshev_correlations(a, 0.6, nodes)
+            assert same_bits(corr.r0, want_r0)
+            assert same_bits(corr.r1, want_r1)
+
     def test_chebyshev_depth_from_rho_bound(self):
         rhos = (0.5, 0.8, 0.95, 0.99, 0.999)
         assert [chebyshev_depth(rho) for rho in rhos] == [15, 28, 61, 144, 481]
@@ -255,13 +315,13 @@ class TestEmpirical:
     def test_chunk_boundaries_do_not_change_results(self):
         # 1200 main steps span three internal blocks; a single-pass dense
         # rerun of the same stream must agree to accumulation roundoff, and
-        # the CSR step must not have built the dense view
+        # the CSR step must have built neither the dense nor the scipy view
         rng = np.random.default_rng(54)
         _, _, a, _ = random_observed_network(rng, n_lo=6, n_hi=12)
         s = full_set(a)
         cfg = SimConfig(beta=0.4, n_max=1200, burn_in=600, seed=7)
         got = simulate_and_accumulate(a, cfg, s)
-        assert a._dense is None
+        assert a._dense is None and a._sparse is None
 
         rng2 = np.random.default_rng(7)
         noise = rng2.standard_normal((1800, a.n))
@@ -390,6 +450,19 @@ class TestEmpirical:
         vals = np.array([float(row[2]) for row in body]).reshape(4, 2)
         r0 = vals.T @ vals / 4.0
         assert corr.r0 == pytest.approx(0.5 * (r0 + r0.T), abs=1e-12)
+
+
+class TestKernelLoader:
+    def test_reuses_the_loaded_module(self):
+        # scipy.sparse is imported here, so the loader finds its kernels
+        assert load_sparsetools() is _sparsetools
+        assert dynamics._sparsetools is _sparsetools
+
+    def test_missing_file_raises_naming_the_path(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".gone.so"])
+        with pytest.raises(ImportError, match=r"sparse[/\\]_sparsetools\{suffix\}"):
+            load_sparsetools()
 
 
 class TestValidation:

@@ -190,6 +190,8 @@ class TestMergeStateOracle:
         k = int(rng.integers(2, 30))
         s = NodeSet.of(rng.choice(200, size=k, replace=False))
         state, oracle = ReconstructionState(s), DictReconstructionState(s)
+        truth = random_vote(rng, k)
+        truth_upper = np.triu(truth.adjacency, 1)
         for _ in range(25):
             m = int(rng.integers(0, min(k, 10) + 1))
             union = NodeSet.of(rng.choice(s.members, size=m, replace=False))
@@ -200,6 +202,7 @@ class TestMergeStateOracle:
             assert state.decided_count() == oracle.decided_count()
             assert state.undecided_pairs() == oracle.undecided_pairs()
             assert np.array_equal(state.estimated_graph().adjacency, oracle.estimated_graph())
+            assert state.distance(truth_upper) == graph_distance(truth, state.estimated_graph())
 
     @pytest.mark.parametrize(
         "union",
@@ -255,6 +258,32 @@ class TestProbingRuns:
         assert len(trace) == 3
         assert all(d is not None and 0.0 <= d <= 1.0 for d in trace)
         assert trace[-1] == graph_distance(truth, state.estimated_graph())
+
+    @pytest.mark.parametrize("tiebreak", list(TieBreak))
+    def test_every_round_distance_is_graph_distance(self, tiebreak, monkeypatch):
+        # fifteen rounds of two-node patches on a short trajectory, so the
+        # estimate changes and errs; after each merge, graph_distance of the
+        # rebuilt estimate is the oracle for the logged distance
+        n, s = 60, NodeSet(tuple(range(12)))
+        g = sample_partial_er(
+            PartialErSpec(n, 2.5 * math.log(n) / n, s, ring_graph(12)),
+            np.random.default_rng(8),
+        )
+        a = build_matrix(g, PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
+        truth = subgraph(g, s)
+        oracle = []
+        absorb = ReconstructionState.absorb
+
+        def absorb_and_measure(state, union, decided, tb):
+            absorb(state, union, decided, tb)
+            oracle.append(graph_distance(truth, state.estimated_graph()))
+
+        monkeypatch.setattr(ReconstructionState, "absorb", absorb_and_measure)
+        cfg = SimConfig(beta=0.2, n_max=3000, burn_in=100, seed=8)
+        state = run_patch_catch(a, make_patches(s, 4), cfg, tiebreak=tiebreak, truth=truth)
+        trace = [rec.distance for rec in state.experiment_log]
+        assert len(trace) == 15 and len(set(trace)) > 2
+        assert trace == oracle
 
     def test_ring_is_reconstructed(self):
         state, truth, _, _, _ = small_campaign()

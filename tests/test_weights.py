@@ -22,7 +22,7 @@ from tomolab import (
     metropolis_matrix,
     ring_graph,
 )
-from conftest import random_observed_network
+from conftest import random_observed_network, same_bits
 
 LAP = PolicyParams(CombinationRule.LAPLACIAN, rho=0.8)
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
@@ -186,6 +186,90 @@ class TestSparseBuilders:
         w = scipy.sparse.csr_array(np.array([[0.3, 0.1], [0.0, 0.3]]))
         with pytest.raises(ValueError, match="symmetric"):
             CombinationMatrix(w, 0.6)
+
+    @pytest.mark.parametrize(
+        "m, match",
+        [
+            ([[0.1, -0.05], [-0.05, 0.1]], "non-negative"),
+            ([[0.5, 0.4], [0.4, 0.5]], "row sums"),
+            ([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]], "square"),
+        ],
+    )
+    def test_sparse_input_rejects_what_dense_input_rejects(self, m, match):
+        w = scipy.sparse.csr_array(np.array(m))
+        with pytest.raises(ValueError, match=match):
+            CombinationMatrix(w, 0.8)
+        if len(m) == len(m[0]):
+            with pytest.raises(ValueError, match=match):
+                CombinationMatrix(np.array(m), 0.8)
+
+
+def scipy_support(a):
+    """support_graph read off scipy's COO form of the ``.sparse`` view."""
+    coo = a.sparse.tocoo()
+    upper = (coo.row < coo.col) & (coo.data > 0.0)
+    return from_edges(a.n, np.column_stack([coo.row[upper], coo.col[upper]]))
+
+
+def scipy_weight_floor(a, g, gamma):
+    """check_weight_floor on scipy's sparse difference of the two patterns."""
+    data = np.full(g.indices.size, gamma / max_degree(g))
+    floor = scipy.sparse.csr_array((data, g.indices, g.indptr), shape=(g.n, g.n))
+    slack = (a.sparse - floor).tocoo()
+    off = slack.row != slack.col
+    return bool(slack.data[off].min(initial=np.inf) >= -1e-12)
+
+
+def assert_matches_scipy_view(a, g):
+    """The array code paths agree bit for bit with scipy on the lazy ``.sparse``."""
+    got = (a.row_sums(), a.support_graph(), a.entries)
+    gammas = (1e-6, a.rho_bound / 2, a.rho_bound, 2 * a.rho_bound)
+    floors = [check_weight_floor(a, g, gamma) for gamma in gammas]
+    # none of these reads the scipy view
+    assert a._sparse is None
+    view = a.sparse
+    assert a.sparse is view
+    assert view.nnz == a.nnz
+    assert np.shares_memory(view.data, a.data) and not view.data.flags.writeable
+    assert same_bits(got[0], view.sum(axis=1))
+    assert got[1] == scipy_support(a)
+    assert same_bits(got[2], view.toarray())
+    assert floors == [scipy_weight_floor(a, g, gamma) for gamma in gammas]
+
+
+class TestScipyViewOracle:
+    @pytest.mark.parametrize("rule", list(CombinationRule))
+    def test_builders_on_random_networks(self, rule):
+        rng = np.random.default_rng(39)
+        for trial in range(20):
+            n_hi = 300 if trial % 5 == 0 else 60
+            g, _, a, _ = random_observed_network(rng, n_lo=5, n_hi=n_hi, rule=rule)
+            assert_matches_scipy_view(a, g)
+
+    def test_scipy_input_with_an_explicit_zero_and_an_empty_row(self):
+        # row 1 stores nothing; the pair (0, 2) is stored as an explicit zero
+        w = scipy.sparse.csr_array(
+            (
+                np.array([0.3, 0.0, 0.0, 0.5, 0.1, 0.1]),
+                np.array([0, 2, 0, 2, 3, 2]),
+                np.array([0, 2, 2, 5, 6]),
+            ),
+            shape=(4, 4),
+        )
+        a = CombinationMatrix(w, 0.7)
+        assert a.nnz == 6
+        assert a.row_sums()[1] == 0.0
+        for g in (from_edges(4, [(2, 3)]), from_edges(4, [(0, 2), (2, 3)])):
+            assert_matches_scipy_view(CombinationMatrix(w, 0.7), g)
+
+    def test_dense_input_keeps_its_nonzero_entries(self):
+        m = np.array([[0.3, 0.0, 0.1], [0.0, 0.0, 0.0], [0.1, 0.0, 0.2]])
+        a = CombinationMatrix(m, 0.5)
+        assert a.nnz == 4
+        assert a.indptr.tolist() == [0, 2, 2, 4]
+        assert a.indices.tolist() == [0, 2, 0, 2]
+        assert a.indptr.dtype == a.indices.dtype
+        assert same_bits(a.sparse.toarray(), m)
 
 
 class TestClassThreshold:
