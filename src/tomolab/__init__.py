@@ -51,7 +51,6 @@ from .inference import (
     classify_kmeans2,
     classify_threshold,
     error_matrix,
-    granger_full,
     granger_truncated,
     h_entry_bound_check,
     symmetrize,

@@ -7,8 +7,9 @@ tomolab calls two routines of scipy's compiled extension
 array-API shim pulls in ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``:
 about 200 ms and 15 MB of every process (numpy 2.4, scipy 1.17, on a
 2-vCPU x86_64 host).  :func:`load_sparsetools` loads the extension file
-from scipy's install directory instead and registers it under its own
-name, so a later ``import scipy.sparse`` reuses the same module object.
+from scipy's install directory instead, under the private name
+``tomolab._sparsetools``.  Nothing is written into scipy's namespace, so a
+later ``import scipy.sparse`` loads and binds its own copy as usual.
 
 The kernels take ``indptr`` and ``indices`` of one integer dtype (int32 or
 int64) and write the product into the output array in place.
@@ -19,24 +20,19 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-import sys
 from types import ModuleType
 
-_NAME = "scipy.sparse._sparsetools"
+_NAME = "tomolab._sparsetools"
 
 
 def load_sparsetools() -> ModuleType:
-    """The ``_sparsetools`` extension module, loaded once per process.
+    """The ``_sparsetools`` extension module, as ``tomolab._sparsetools``.
 
-    An already imported module is reused.  Otherwise the file is looked up
-    next to scipy's ``__init__.py`` without importing scipy (resolving
-    ``scipy.sparse._sparsetools`` by name would import its parent
-    packages), trying each extension suffix of this interpreter.  A missing
-    file raises ``ImportError`` naming the path.
+    The file is looked up next to scipy's ``__init__.py`` without importing
+    scipy (resolving ``scipy.sparse._sparsetools`` by name would import its
+    parent packages), trying each extension suffix of this interpreter.  A
+    missing file raises ``ImportError`` naming the path.
     """
-    loaded = sys.modules.get(_NAME)
-    if loaded is not None:
-        return loaded
     spec = importlib.util.find_spec("scipy")
     if spec is None or spec.origin is None:
         raise ImportError("tomolab needs scipy, which is not installed")
@@ -54,5 +50,4 @@ def load_sparsetools() -> ModuleType:
     spec = importlib.util.spec_from_file_location(_NAME, path, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
-    sys.modules[_NAME] = module
     return module

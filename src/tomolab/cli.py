@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -74,13 +74,31 @@ def parse_node_range(text: str) -> NodeSet:
     return NodeSet.of(ids)
 
 
-def _require(cfg: dict, key: str, kind, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing field {key!r} in {where}")
-    value = cfg[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+_REQUIRED = object()
+
+
+def _field(cfg, key: str, kind, where: str, default=_REQUIRED):
+    """``cfg[key]`` checked against ``kind``, or ``default`` when it is absent.
+
+    ``cfg`` must be a JSON object.  An int is taken where a float is
+    wanted, a bool never counts as a number, and an Enum ``kind`` takes one
+    of its values.  A null counts as absent when the default is ``None``.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    value = cfg.get(key)
+    if key not in cfg or (value is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"missing field {key!r} in {where}")
+        return default
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        if value not in [k.value for k in kind]:
+            allowed = ", ".join(repr(k.value) for k in kind)
+            raise ConfigError(f"field {key!r} in {where} must be one of {allowed}")
+        return kind(value)
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"field {key!r} in {where} must be {kind.__name__}")
     return value
 
@@ -95,76 +113,40 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"malformed JSON in {path} (line {exc.lineno}): {exc.msg}") from exc
 
 
-def _parse_c_rule(cfg: dict, where: str) -> CRule:
-    kind = _require(cfg, "kind", str, where)
-    if kind == "loglog":
-        return CRule.loglog()
-    if kind == "multiple":
-        return CRule.multiple(_require(cfg, "value", float, where))
-    if kind == "explicit":
-        return CRule.explicit(_require(cfg, "value", float, where))
-    raise ConfigError(f"unknown c rule {kind!r} in {where}")
+def _c_rule(cfg) -> CRule:
+    return CRule(_field(cfg, "kind", str, "c_rule"), _field(cfg, "value", float, "c_rule", None))
 
 
-def _parse_policy(cfg: dict, where: str) -> PolicyParams:
-    rule = _require(cfg, "rule", str, where)
-    try:
-        rule_enum = CombinationRule(rule)
-    except ValueError as exc:
-        raise ConfigError(f"unknown combination rule {rule!r} in {where}") from exc
-    rho = _require(cfg, "rho", float, where)
-    lam = float(cfg.get("lambda", 1.0))
-    try:
-        return PolicyParams(rule_enum, rho, lam)
-    except ValueError as exc:
-        raise ConfigError(f"bad policy in {where}: {exc}") from exc
+def _policy(cfg) -> PolicyParams:
+    return PolicyParams(
+        _field(cfg, "rule", CombinationRule, "policy"),
+        _field(cfg, "rho", float, "policy"),
+        _field(cfg, "lambda", float, "policy", 1.0),
+    )
 
 
-def _parse_embedded(cfg: dict, where: str) -> EmbeddedSource:
-    kind = _require(cfg, "kind", str, where)
-    if kind == "er":
-        q = cfg.get("q")
-        return EmbeddedSource.er(None if q is None else float(q))
-    if kind == "match_p":
-        return EmbeddedSource.match_p()
-    if kind == "ring":
-        return EmbeddedSource.ring()
-    if kind == "explicit":
-        path = _require(cfg, "file", str, where)
-        try:
-            return EmbeddedSource.explicit(load_edge_list(path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load embedded graph {path}: {exc}") from exc
-    raise ConfigError(f"unknown embedded source {kind!r} in {where}")
+def _embedded(cfg) -> EmbeddedSource:
+    kind = _field(cfg, "kind", str, "embedded")
+    graph = load_edge_list(_field(cfg, "file", str, "embedded")) if kind == "explicit" else None
+    return EmbeddedSource(kind, _field(cfg, "q", float, "embedded", None), graph)
 
 
-def _parse_sim(cfg: dict, where: str, default_beta: float) -> SimConfig:
-    try:
-        noise = NoiseKind(cfg.get("noise", "gaussian"))
-    except ValueError as exc:
-        raise ConfigError(f"unknown noise kind in {where}") from exc
-    try:
-        return SimConfig(
-            beta=float(cfg.get("beta", default_beta)),
-            n_max=int(_require(cfg, "n_max", int, where)),
-            burn_in=int(cfg.get("burn_in", 1000)),
-            noise=noise,
-            seed=int(cfg.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad simulation settings in {where}: {exc}") from exc
+def _sim(cfg, where: str, default_beta: float) -> SimConfig:
+    return SimConfig(
+        beta=_field(cfg, "beta", float, where, default_beta),
+        n_max=_field(cfg, "n_max", int, where),
+        burn_in=_field(cfg, "burn_in", int, where, 1000),
+        noise=_field(cfg, "noise", NoiseKind, where, NoiseKind.GAUSSIAN),
+        seed=_field(cfg, "seed", int, where, 0),
+    )
 
 
-def _parse_classifier(cfg: dict, where: str) -> ClassifierSpec:
-    method = _require(cfg, "method", str, where)
-    if method == "kmeans2":
-        return ClassifierSpec(ClassifierMethod.KMEANS2)
-    if method == "threshold":
-        eta = cfg.get("eta", "auto")
-        if eta == "auto":
-            return ClassifierSpec(ClassifierMethod.THRESHOLD, None)
-        return ClassifierSpec(ClassifierMethod.THRESHOLD, float(eta))
-    raise ConfigError(f"unknown classifier {method!r} in {where}")
+def _classifier(cfg) -> ClassifierSpec:
+    """kmeans2, or a threshold whose eta is a number or ``"auto"`` (derived per N)."""
+    method = _field(cfg, "method", ClassifierMethod, "classifier")
+    if method is ClassifierMethod.KMEANS2 or cfg.get("eta") == "auto":
+        return ClassifierSpec(method)
+    return ClassifierSpec(method, _field(cfg, "eta", float, "classifier", None))
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -181,17 +163,11 @@ def _save_matrix_csv(m: np.ndarray, path: str) -> None:
 def _cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     s = parse_node_range(args.s) if args.s else NodeSet(tuple(range(args.s_size)))
-    if args.embedded == "ring":
-        src = EmbeddedSource.ring()
-    elif args.embedded == "match-p":
-        src = EmbeddedSource.match_p()
-    elif args.embedded.startswith("er"):
-        _, _, q = args.embedded.partition(":")
-        src = EmbeddedSource.er(float(q) if q else None)
-    elif args.embedded.startswith("file:"):
-        src = EmbeddedSource.explicit(load_edge_list(args.embedded[5:]))
+    kind, _, arg = args.embedded.partition(":")
+    if kind == "file":
+        src = _embedded({"kind": "explicit", "file": arg})
     else:
-        raise ConfigError(f"unknown embedded source {args.embedded!r}")
+        src = _embedded({"kind": kind.replace("-", "_"), "q": float(arg) if arg else None})
     planted = src.sample(len(s), args.p, rng)
     g = sample_partial_er(PartialErSpec(args.n, args.p, s, planted), rng)
     save_edge_list(g, _out_path(args.out, "graph.edges"))
@@ -203,31 +179,19 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _policy_from_args(args) -> PolicyParams:
-    try:
-        rule = CombinationRule(args.policy)
-    except ValueError as exc:
-        raise ConfigError(f"unknown combination rule {args.policy!r}") from exc
-    try:
-        return PolicyParams(rule, args.rho, args.lam)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _cmd_simulate(args) -> int:
+def _network_from_args(args):
+    """``(g, policy, a, s, beta)`` from the ``simulate``/``estimate`` options."""
     g = load_edge_list(args.graph)
-    policy = _policy_from_args(args)
-    a = build_matrix(g, policy)
+    policy = _policy({"rule": args.policy, "rho": args.rho, "lambda": args.lam})
     s = parse_node_range(args.s)
     s.check_within(g.n)
     beta = args.beta if args.beta is not None else 1.0 - policy.rho
-    cfg = SimConfig(
-        beta=beta,
-        n_max=args.n_max,
-        burn_in=args.burn_in,
-        noise=NoiseKind(args.noise),
-        seed=args.seed,
-    )
+    return g, policy, build_matrix(g, policy), s, beta
+
+
+def _cmd_simulate(args) -> int:
+    g, _, a, s, beta = _network_from_args(args)
+    cfg = _sim({**vars(args), "beta": beta}, "options", beta)
     dump = None
     try:
         if args.dump:
@@ -246,33 +210,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    g = load_edge_list(args.graph)
-    policy = _policy_from_args(args)
-    a = build_matrix(g, policy)
-    s = parse_node_range(args.s)
-    s.check_within(g.n)
-    beta = args.beta if args.beta is not None else 1.0 - policy.rho
+    g, policy, a, s, beta = _network_from_args(args)
+    eta = args.eta if args.eta == "auto" else float(args.eta)
+    spec = _classifier({"method": args.classifier, "eta": eta})
+    if spec.method is ClassifierMethod.THRESHOLD and spec.eta is None and args.p is None:
+        raise ConfigError("--eta auto needs --p to derive the threshold")
     if args.mode == "analytic":
         corr = analytic_correlations(a, beta, s)
     else:
-        cfg = SimConfig(
-            beta=beta,
-            n_max=args.n_max,
-            burn_in=args.burn_in,
-            noise=NoiseKind(args.noise),
-            seed=args.seed,
-        )
-        corr = simulate_and_accumulate(a, cfg, s)
+        corr = simulate_and_accumulate(a, _sim({**vars(args), "beta": beta}, "options", beta), s)
     est = granger_truncated(corr)
-    if args.classifier == "kmeans2":
-        spec = ClassifierSpec(ClassifierMethod.KMEANS2)
-    else:
-        if args.eta == "auto":
-            if args.p is None:
-                raise ConfigError("--eta auto needs --p to derive the threshold")
-            spec = ClassifierSpec(ClassifierMethod.THRESHOLD, None)
-        else:
-            spec = ClassifierSpec(ClassifierMethod.THRESHOLD, float(args.eta))
     decided = apply_classifier(est, spec.resolve(policy, g.n, args.p or 1.0))
     _save_matrix_csv(est, _out_path(args.out, "a_hat.csv"))
     report = {
@@ -290,34 +237,23 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_recovery_prob(args) -> int:
-    cfg = _load_config(args.config)
-    policy = _parse_policy(_require(cfg, "policy", dict, args.config), "policy")
-    regime = RegimeSpec(
-        tuple(int(n) for n in _require(cfg, "n_grid", list, args.config)),
-        _parse_c_rule(_require(cfg, "c_rule", dict, args.config), "c_rule"),
-    )
-    corr_cfg = _require(cfg, "correlations", dict, args.config)
-    mode = _require(corr_cfg, "mode", str, "correlations")
-    if mode == "analytic":
-        correlations = CorrelationMode.analytic()
-    elif mode == "empirical":
-        correlations = CorrelationMode.empirical(
-            _parse_sim(corr_cfg, "correlations", 1.0 - policy.rho)
-        )
-    else:
-        raise ConfigError(f"unknown correlation mode {mode!r}")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    cfg, where = _load_config(args.config), args.config
+    policy = _policy(_field(cfg, "policy", dict, where))
+    n_grid = _field(cfg, "n_grid", list, where)
+    if not all(type(n) is int for n in n_grid):
+        raise ConfigError(f"field 'n_grid' in {where} must be a list of int")
+    corr = _field(cfg, "correlations", dict, where)
+    mode = _field(corr, "mode", str, "correlations")
+    sim = _sim(corr, "correlations", 1.0 - policy.rho) if mode == "empirical" else None
     experiment = ExperimentConfig(
-        regime=regime,
-        s_size=int(_require(cfg, "s_size", int, args.config)),
-        embedded=_parse_embedded(cfg.get("embedded", {"kind": "er"}), "embedded"),
+        regime=RegimeSpec(tuple(n_grid), _c_rule(_field(cfg, "c_rule", dict, where))),
+        s_size=_field(cfg, "s_size", int, where),
+        embedded=_embedded(_field(cfg, "embedded", dict, where, {"kind": "er"})),
         policy=policy,
-        classifier=_parse_classifier(
-            cfg.get("classifier", {"method": "kmeans2"}), "classifier"
-        ),
-        correlations=correlations,
-        trials=int(_require(cfg, "trials", int, args.config)),
-        base_seed=seed,
+        classifier=_classifier(_field(cfg, "classifier", dict, where, {"method": "kmeans2"})),
+        correlations=CorrelationMode(mode, sim),
+        trials=_field(cfg, "trials", int, where),
+        base_seed=args.seed if args.seed is not None else _field(cfg, "seed", int, where, 0),
     )
     rows = recovery_probability_experiment(experiment, threads=args.threads)
     csv_text = recovery_rows_csv(rows)
@@ -349,28 +285,20 @@ def _cmd_recovery_prob(args) -> int:
 
 
 def _cmd_patch_catch(args) -> int:
-    cfg = _load_config(args.config)
-    policy = _parse_policy(_require(cfg, "policy", dict, args.config), "policy")
-    sim = _parse_sim(
-        _require(cfg, "sim", dict, args.config), "sim", 1.0 - policy.rho
-    )
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    try:
-        tiebreak = TieBreak(cfg.get("tiebreak", "first"))
-    except ValueError as exc:
-        raise ConfigError(f"unknown tiebreak {cfg.get('tiebreak')!r}") from exc
+    cfg, where = _load_config(args.config), args.config
+    policy = _policy(_field(cfg, "policy", dict, where))
     experiment = PatchCatchConfig(
-        n=int(_require(cfg, "n", int, args.config)),
-        c_rule=_parse_c_rule(_require(cfg, "c_rule", dict, args.config), "c_rule"),
-        s_size=int(_require(cfg, "s_size", int, args.config)),
-        probe_limit=int(_require(cfg, "probe_limit", int, args.config)),
+        n=_field(cfg, "n", int, where),
+        c_rule=_c_rule(_field(cfg, "c_rule", dict, where)),
+        s_size=_field(cfg, "s_size", int, where),
+        probe_limit=_field(cfg, "probe_limit", int, where),
         policy=policy,
-        sim=sim,
-        trials=int(_require(cfg, "trials", int, args.config)),
-        base_seed=seed,
-        tiebreak=tiebreak,
-        shared_trajectory=bool(cfg.get("shared_trajectory", True)),
-        embedded=_parse_embedded(cfg.get("embedded", {"kind": "match_p"}), "embedded"),
+        sim=_sim(_field(cfg, "sim", dict, where), "sim", 1.0 - policy.rho),
+        trials=_field(cfg, "trials", int, where),
+        base_seed=args.seed if args.seed is not None else _field(cfg, "seed", int, where, 0),
+        tiebreak=_field(cfg, "tiebreak", TieBreak, where, TieBreak.FIRST),
+        shared_trajectory=_field(cfg, "shared_trajectory", bool, where, True),
+        embedded=_embedded(_field(cfg, "embedded", dict, where, {"kind": "match_p"})),
     )
     results = patch_catch_experiment(experiment, threads=args.threads)
     with open(_out_path(args.out, "final.csv"), "w", encoding="ascii") as fh:

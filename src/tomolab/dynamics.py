@@ -62,6 +62,12 @@ _MAX_UNROLL = 8
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 
+def derive_seed(base: int, *keys: int) -> int:
+    """Deterministic child seed for a trial, independent of scheduling."""
+    ss = np.random.SeedSequence([int(base), *(int(k) for k in keys)])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 class NoiseKind(Enum):
     GAUSSIAN = "gaussian"
     RADEMACHER = "rademacher"

@@ -100,13 +100,11 @@ def _solve_estimator(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
     return r1 @ r0_inv
 
 
-def granger_full(corr) -> np.ndarray:
-    """Recover the full combination matrix from full-network correlations."""
-    return _solve_estimator(corr.r0, corr.r1)
-
-
 def granger_truncated(corr) -> np.ndarray:
-    """Apply the same solve to correlations restricted to the observed set."""
+    """``[R1]_S [R0]_S^{-1}`` on the correlations' node set.
+
+    On the full node set this recovers the combination matrix itself.
+    """
     return _solve_estimator(corr.r0, corr.r1)
 
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import SimConfig, analytic_correlations, simulate_and_accumulate
+from .dynamics import SimConfig, analytic_correlations, derive_seed, simulate_and_accumulate
 from .errors import ConfigError, NumericError
 from .graphs import (
     Graph,
     NodeSet,
     PartialErSpec,
+    _member_mask,
     edgeless_graph,
     hop_counts,
     local_disconnect,
@@ -38,20 +39,13 @@ from .inference import (
     ClassifierMethod,
     apply_classifier,
     granger_truncated,
-    symmetrize,
 )
 from .patchwork import TieBreak, graph_distance, make_patches, run_patch_catch
-from .weights import PolicyParams, build_matrix, class_tau
+from .weights import CombinationMatrix, PolicyParams, build_matrix, class_tau
 
 logger = logging.getLogger(__name__)
 
 THREADS_ENV = "TOMOLAB_THREADS"
-
-
-def derive_seed(base: int, *keys: int) -> int:
-    """Deterministic child seed for a trial, independent of scheduling."""
-    ss = np.random.SeedSequence([int(base), *(int(k) for k in keys)])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def resolve_threads(requested: int | None) -> int:
@@ -64,6 +58,15 @@ def resolve_threads(requested: int | None) -> int:
         except ValueError:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}")
     return wanted
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """``header`` and ``rows`` as CSV text, with the csv module's CRLF line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _map_trials(fn, count: int, threads: int) -> list:
@@ -291,14 +294,21 @@ def _default_beta(policy: PolicyParams) -> float:
     return 1.0 - policy.rho
 
 
-def _recovery_trial(
-    cfg: ExperimentConfig, n: int, p: float, n_index: int, trial: int
-) -> bool:
-    rng = np.random.default_rng(derive_seed(cfg.base_seed, n_index, trial))
+def _instance(
+    cfg: ExperimentConfig | PatchCatchConfig, n: int, p: float, seed: int
+) -> tuple[NodeSet, Graph, Graph, CombinationMatrix]:
+    """Observable set, planted subgraph, network and weights of one trial."""
+    rng = np.random.default_rng(seed)
     s = NodeSet(tuple(range(cfg.s_size)))
     planted = cfg.embedded.sample(cfg.s_size, p, rng)
     g = sample_partial_er(PartialErSpec(n, p, s, planted), rng)
-    a = build_matrix(g, cfg.policy)
+    return s, planted, g, build_matrix(g, cfg.policy)
+
+
+def _recovery_trial(
+    cfg: ExperimentConfig, n: int, p: float, n_index: int, trial: int
+) -> bool:
+    s, planted, _, a = _instance(cfg, n, p, derive_seed(cfg.base_seed, n_index, trial))
     try:
         if cfg.correlations.kind == "analytic":
             corr = analytic_correlations(a, _default_beta(cfg.policy), s)
@@ -348,14 +358,10 @@ def recovery_probability_experiment(
 
 
 def recovery_rows_csv(rows: list[RecoveryRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["N", "trials", "perfect", "fraction", "ci_lo", "ci_hi"])
-    for r in rows:
-        writer.writerow(
-            [r.n, r.trials, r.perfect, repr(r.fraction), repr(r.ci_lo), repr(r.ci_hi)]
-        )
-    return out.getvalue()
+    return _csv_text(
+        ["N", "trials", "perfect", "fraction", "ci_lo", "ci_hi"],
+        ([r.n, r.trials, r.perfect, repr(r.fraction), repr(r.ci_lo), repr(r.ci_hi)] for r in rows),
+    )
 
 
 @dataclass(frozen=True)
@@ -397,11 +403,7 @@ class PatchCatchTrial:
 
 def _patch_catch_trial(cfg: PatchCatchConfig, trial: int) -> PatchCatchTrial:
     p = cfg.c_rule.p_for(cfg.n)
-    rng = np.random.default_rng(derive_seed(cfg.base_seed, trial))
-    s = NodeSet(tuple(range(cfg.s_size)))
-    planted = cfg.embedded.sample(cfg.s_size, p, rng)
-    g = sample_partial_er(PartialErSpec(cfg.n, p, s, planted), rng)
-    a = build_matrix(g, cfg.policy)
+    s, _, g, a = _instance(cfg, cfg.n, p, derive_seed(cfg.base_seed, trial))
     plan = make_patches(s, cfg.probe_limit)
     sim = replace(cfg.sim, seed=derive_seed(cfg.base_seed, trial, 1))
     state = run_patch_catch(
@@ -425,22 +427,16 @@ def patch_catch_experiment(
 
 
 def patch_catch_rows_csv(results: list[PatchCatchTrial]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["trial", "final_distance"])
-    for r in results:
-        writer.writerow([r.trial, repr(r.final_distance)])
-    return out.getvalue()
+    return _csv_text(
+        ["trial", "final_distance"], ([r.trial, repr(r.final_distance)] for r in results)
+    )
 
 
 def patch_catch_trace_csv(results: list[PatchCatchTrial]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["trial", "experiment_index", "distance"])
-    for r in results:
-        for idx, d in enumerate(r.trace):
-            writer.writerow([r.trial, idx, repr(d)])
-    return out.getvalue()
+    return _csv_text(
+        ["trial", "experiment_index", "distance"],
+        ([r.trial, idx, repr(d)] for r in results for idx, d in enumerate(r.trace)),
+    )
 
 
 @dataclass
@@ -520,8 +516,7 @@ def check_small_distance_rarity(
     obs = NodeSet(tuple(range(s_size)))
     spec = PartialErSpec(n, p, obs, edgeless_graph(s_size))
     rng2 = np.random.default_rng(derive_seed(base_seed, 22))
-    obs_mask = np.zeros(n, dtype=bool)
-    obs_mask[obs.indices()] = True
+    obs_mask = _member_mask(obs, n)
     occurs = 0
     for _ in range(trials):
         g = sample_partial_er(spec, rng2)
@@ -606,9 +601,7 @@ def theory_check(cfg: TheoryCheckConfig) -> list[TheoryRow]:
 
 
 def theory_rows_csv(rows: list[TheoryRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["N", "r_N", "error_tail", "distance_tail"])
-    for r in rows:
-        writer.writerow([repr(r.n), r.r_n, repr(r.error_tail), repr(r.distance_tail)])
-    return out.getvalue()
+    return _csv_text(
+        ["N", "r_N", "error_tail", "distance_tail"],
+        ([repr(r.n), r.r_n, repr(r.error_tail), repr(r.distance_tail)] for r in rows),
+    )

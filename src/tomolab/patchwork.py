@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import CorrelationSet, SimConfig, simulate_and_accumulate
+from .dynamics import CorrelationSet, SimConfig, derive_seed, simulate_and_accumulate
 from .errors import ConfigError
 from .graphs import Graph, NodeSet
 from .inference import classify_kmeans2, granger_truncated, symmetrize
@@ -266,14 +266,8 @@ def run_patch_catch(
             if shared is not None:
                 corr = shared.restrict(union)
             else:
-                per_seed = int(
-                    np.random.SeedSequence([int(cfg.seed), exp_index]).generate_state(
-                        1, np.uint64
-                    )[0]
-                )
-                corr = simulate_and_accumulate(
-                    a, replace(cfg, seed=per_seed), union
-                )
+                per_seed = derive_seed(cfg.seed, exp_index)
+                corr = simulate_and_accumulate(a, replace(cfg, seed=per_seed), union)
             est = symmetrize(granger_truncated(corr))
             decided = classify_kmeans2(est)
             state.absorb(union, decided, tiebreak)

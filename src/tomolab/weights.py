@@ -16,20 +16,15 @@ A :class:`CombinationMatrix` stores its weights as read-only CSR arrays
 the graph's own CSR pattern (self-loops included), so neither an ``N x N``
 float array nor the graph's dense view is made, and
 :func:`check_weight_floor` compares the two patterns entry by entry.
-``.entries`` is a read-only dense view and ``.sparse`` a scipy
-``csr_array`` over the same buffers, each built on first access and
-cached.  No code path of the package reads ``.sparse``, so tomolab never
-imports the ``scipy.sparse`` package itself; the view serves tests and
-callers that work with scipy.
+``.entries`` is a read-only dense view, built on first access and cached.
+The ``scipy.sparse`` package is imported only to read a scipy sparse input.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TextIO
 
 import numpy as np
 
@@ -70,7 +65,7 @@ class CombinationMatrix:
     read-only.
     """
 
-    __slots__ = ("indptr", "indices", "data", "rho_bound", "_dense", "_sparse")
+    __slots__ = ("indptr", "indices", "data", "rho_bound", "_dense")
 
     def __init__(self, entries, rho_bound: float, validate: bool = True):
         if hasattr(entries, "tocsr"):
@@ -110,7 +105,6 @@ class CombinationMatrix:
             buf.setflags(write=False)
         self.rho_bound = float(rho_bound)
         self._dense = dense
-        self._sparse = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -121,19 +115,6 @@ class CombinationMatrix:
             dense.setflags(write=False)
             self._dense = dense
         return self._dense
-
-    @property
-    def sparse(self):
-        """scipy ``csr_array`` over the stored buffers, built on first access.
-
-        The first access imports ``scipy.sparse``.
-        """
-        if self._sparse is None:
-            from scipy.sparse import csr_array
-
-            csr = (self.data, self.indices, self.indptr)
-            self._sparse = csr_array(csr, shape=(self.n, self.n), copy=False)
-        return self._sparse
 
     @property
     def n(self) -> int:
@@ -161,16 +142,6 @@ class CombinationMatrix:
         rows = _entry_rows(self)
         upper = (rows < self.indices) & (self.data > 0.0)
         return from_edges(self.n, np.column_stack([rows[upper], self.indices[upper]]))
-
-    def save_csv(self, dest: str | TextIO) -> None:
-        """One matrix row per line, for debugging and external inspection."""
-        if isinstance(dest, str):
-            with open(dest, "w", encoding="ascii", newline="") as fh:
-                self.save_csv(fh)
-            return
-        writer = csv.writer(dest)
-        for row in self.entries:
-            writer.writerow([repr(float(x)) for x in row])
 
     def __repr__(self) -> str:
         return f"CombinationMatrix(n={self.n}, rho_bound={self.rho_bound})"

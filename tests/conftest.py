@@ -1,6 +1,8 @@
-"""Shared builders for randomized test instances, and a bitwise comparison."""
+"""Shared builders for randomized test instances, a scipy view of the
+weights, and a bitwise comparison."""
 
 import numpy as np
+import scipy.sparse
 
 from tomolab import (
     CombinationRule,
@@ -48,6 +50,11 @@ def random_observed_network(
 
 def a_for(g, params):
     return build_matrix(g, params)
+
+
+def csr_view(a):
+    """scipy ``csr_array`` over the CSR arrays of ``a``, sharing their buffers."""
+    return scipy.sparse.csr_array((a.data, a.indices, a.indptr), shape=(a.n, a.n), copy=False)
 
 
 def same_bits(got, want):

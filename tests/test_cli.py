@@ -7,7 +7,21 @@ import sys
 import numpy as np
 import pytest
 
-from tomolab import ConfigError, load_edge_list, ring_graph, save_edge_list, subgraph
+from tomolab import (
+    CombinationRule,
+    ConfigError,
+    NodeSet,
+    PolicyParams,
+    SimConfig,
+    build_matrix,
+    experiment_log_csv,
+    load_edge_list,
+    make_patches,
+    ring_graph,
+    run_patch_catch,
+    save_edge_list,
+    subgraph,
+)
 from tomolab.cli import main, parse_node_range
 
 
@@ -285,6 +299,59 @@ class TestPatchCatchCommand:
         assert "tiebreak" in capsys.readouterr().err
 
 
+
+_RECOVERY = {
+    "n_grid": [10], "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 10,
+    "embedded": {"kind": "er"}, "policy": {"rule": "metropolis", "rho": 0.8},
+    "classifier": {"method": "kmeans2"}, "trials": 1,
+    "correlations": {"mode": "empirical", "n_max": 100},
+}
+_PATCH = {
+    "n": 40, "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 8, "probe_limit": 8,
+    "policy": {"rule": "metropolis", "rho": 0.8}, "sim": {"n_max": 100}, "trials": 1,
+}
+
+
+def _with(base, section, **fields):
+    """``base`` with ``fields`` set at the top level or inside ``section``."""
+    cfg = json.loads(json.dumps(base))
+    (cfg if section is None else cfg[section]).update(fields)
+    return cfg
+
+
+# case -> (command, config, text the error must contain); every case exits 2
+_MALFORMED = {
+    "eta-list": (
+        "recovery-prob", _with(_RECOVERY, "classifier", method="threshold", eta=[1]), "'eta'"
+    ),
+    "seed-null": ("recovery-prob", _with(_RECOVERY, None, seed=None), "'seed'"),
+    "burn_in-null": ("recovery-prob", _with(_RECOVERY, "correlations", burn_in=None), "'burn_in'"),
+    "n_grid-nested": ("recovery-prob", _with(_RECOVERY, None, n_grid=[[40]]), "'n_grid'"),
+    "n_grid-float": ("recovery-prob", _with(_RECOVERY, None, n_grid=[40.7]), "'n_grid'"),
+    "q-list": ("recovery-prob", _with(_RECOVERY, "embedded", q=[0.1]), "'q'"),
+    "lambda-null": ("recovery-prob", _with(_RECOVERY, "policy", **{"lambda": None}), "'lambda'"),
+    "loglog-value": ("recovery-prob", _with(_RECOVERY, "c_rule", kind="loglog", value=2.0), "loglog"),
+    "rule-unknown": ("recovery-prob", _with(_RECOVERY, "policy", rule="uniform"), "'metropolis'"),
+    "trials-bool": ("recovery-prob", _with(_RECOVERY, None, trials=True), "'trials'"),
+    "embedded-string": ("recovery-prob", _with(_RECOVERY, None, embedded="er"), "embedded"),
+    "top-level-list": ("recovery-prob", [_RECOVERY], "JSON object"),
+    "shared_trajectory-string": (
+        "patch-catch", _with(_PATCH, None, shared_trajectory="false"), "'shared_trajectory'"
+    ),
+    "noise-unknown": ("patch-catch", _with(_PATCH, "sim", noise="laplace"), "'gaussian'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_config_exits_two(tmp_path, capsys, case):
+    command, cfg, names = _MALFORMED[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
+    assert "Traceback" not in err
+
 class TestTheoryCheckCommand:
     def test_default_grid(self, capsys):
         assert run("theory-check", "--rho", "0.8") == 0
@@ -318,6 +385,101 @@ class TestTheoryCheckCommand:
         capsys.readouterr()
 
 
+
+# Exact bytes of one small fixed-seed run per output file.  The tables come
+# from the csv module (``\r\n`` line ends), the matrix files from the CLI's
+# own writer (``\n``); criterion 12 compares runs of one build only, so
+# these pins are what catches a change of format between builds.
+GOLDEN_RECOVERY = (
+    b"N,trials,perfect,fraction,ci_lo,ci_hi\r\n"
+    b"30,3,3,1.0,1.0,1.0\r\n"
+    b"60,3,2,0.6666666666666666,0.13322223379388565,1.0\r\n"
+)
+GOLDEN_FINAL = b"trial,final_distance\r\n0,0.07142857142857142\r\n1,0.0\r\n"
+GOLDEN_TRACE = (
+    b"trial,experiment_index,distance\r\n"
+    b"0,0,0.14285714285714285\r\n0,1,0.17857142857142858\r\n"
+    b"0,2,0.14285714285714285\r\n0,3,0.07142857142857142\r\n"
+    b"0,4,0.07142857142857142\r\n0,5,0.07142857142857142\r\n"
+    b"1,0,0.32142857142857145\r\n1,1,0.21428571428571427\r\n"
+    b"1,2,0.14285714285714285\r\n1,3,0.07142857142857142\r\n"
+    b"1,4,0.03571428571428571\r\n1,5,0.0\r\n"
+)
+GOLDEN_THEORY = (
+    b"N,r_N,error_tail,distance_tail\r\n"
+    b"1000.0,1,2.8968222762264837,61078.40201393974\r\n"
+    b"1000000.0,2,4.309988795335387,120138.19312464526\r\n"
+)
+GOLDEN_A_HAT = (
+    b"0.5053868197323231,0.14953418148492703,0.0007358761305913329\n"
+    b"0.15574860604524746,0.17957635147607606,0.14421811562431683\n"
+    b"-9.876877150360547e-18,0.13333333333333325,0.6666666666666669\n"
+)
+GOLDEN_R0 = (
+    b"0.07284710209524953,0.024948833285809765,0.0001063137638931359\n"
+    b"0.024948833285809765,0.07599245486309907,0.016627912924778655\n"
+    b"0.0001063137638931359,0.016627912924778655,0.05907310739162721\n"
+)
+GOLDEN_LOG = (
+    "experiment_index,patch_a,patch_b,pairs_decided,distance\r\n"
+    "0,0,1,6,0.13333333333333333\r\n1,0,2,11,0.06666666666666667\r\n"
+    "2,1,2,15,0.0\r\n"
+)
+
+
+class TestGoldenBytes:
+    def test_experiment_tables(self, tmp_path, capsys):
+        rp = tmp_path / "rp.json"
+        rp.write_text(json.dumps({
+            "n_grid": [30, 60], "c_rule": {"kind": "multiple", "value": 2.0}, "s_size": 8,
+            "policy": {"rule": "metropolis", "rho": 0.8}, "trials": 3, "seed": 2,
+            "correlations": {"mode": "empirical", "n_max": 4000, "burn_in": 50},
+        }))
+        pc = tmp_path / "pc.json"
+        pc.write_text(json.dumps({
+            "n": 40, "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 8,
+            "probe_limit": 4, "policy": {"rule": "metropolis", "rho": 0.8},
+            "sim": {"n_max": 2000, "burn_in": 100}, "trials": 2, "seed": 5,
+        }))
+        assert run("recovery-prob", "--config", str(rp), "--out", str(tmp_path / "rp")) == 0
+        assert run("patch-catch", "--config", str(pc), "--out", str(tmp_path / "pc")) == 0
+        assert run(
+            "theory-check", "--rho", "0.8", "--grid", "1000,1e6", "--out", str(tmp_path / "th")
+        ) == 0
+        capsys.readouterr()
+        assert (tmp_path / "rp" / "recovery.csv").read_bytes() == GOLDEN_RECOVERY
+        assert (tmp_path / "pc" / "final.csv").read_bytes() == GOLDEN_FINAL
+        assert (tmp_path / "pc" / "trace.csv").read_bytes() == GOLDEN_TRACE
+        assert (tmp_path / "th" / "theory.csv").read_bytes() == GOLDEN_THEORY
+
+    def test_matrix_files(self, tmp_path, capsys):
+        net = tmp_path / "net"
+        assert run(
+            "generate", "--n", "12", "--p", "0.3", "--s-size", "3", "--seed", "2",
+            "--out", str(net),
+        ) == 0
+        common = ["--graph", str(net / "graph.edges"), "--policy", "metropolis",
+                  "--rho", "0.8", "--s", "0-2"]
+        assert run("estimate", *common, "--out", str(tmp_path / "est")) == 0
+        assert run(
+            "simulate", *common, "--n-max", "50", "--burn-in", "10", "--seed", "3",
+            "--out", str(tmp_path / "sim"),
+        ) == 0
+        capsys.readouterr()
+        assert (tmp_path / "est" / "a_hat.csv").read_bytes() == GOLDEN_A_HAT
+        assert (tmp_path / "sim" / "r0.csv").read_bytes() == GOLDEN_R0
+
+    def test_experiment_log(self):
+        truth = subgraph(ring_graph(12), NodeSet(tuple(range(6))))
+        a = build_matrix(ring_graph(12), PolicyParams(CombinationRule.METROPOLIS, 0.8))
+        state = run_patch_catch(
+            a,
+            make_patches(NodeSet(tuple(range(6))), 4),
+            SimConfig(beta=0.2, n_max=500, burn_in=50, seed=1),
+            truth=truth,
+        )
+        assert experiment_log_csv(state) == GOLDEN_LOG
+
 class TestEntryPoint:
     def test_missing_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
@@ -336,15 +498,10 @@ class TestEntryPoint:
 _FOOTPRINT_SCRIPT = """
 import json, sys
 
-KERNELS = "scipy.sparse._sparsetools"
-
 def scipy_modules():
-    # scipy.linalg and scipy.sparse modules, bar the compiled CSR kernels
+    # scipy.linalg and scipy.sparse modules
     return {
-        package: sorted(
-            m for m in sys.modules
-            if m.split(".")[:2] == ["scipy", package] and m != KERNELS
-        )
+        package: sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", package])
         for package in ("linalg", "sparse")
     }
 
@@ -354,7 +511,7 @@ from tomolab.cli import main
 
 tmp = sys.argv[1]
 seen = {"import tomolab": scipy_modules()}
-kernels = sys.modules.get(KERNELS)
+kernels = tomolab.dynamics._sparsetools
 with open(tmp + "/rp.json", "w") as fh:
     json.dump({
         "n_grid": [40], "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 6,
@@ -384,16 +541,15 @@ for name, argv in runs.items():
     codes[name] = main(argv)
     seen[name] = scipy_modules()
 
-# a later import of the package reuses the kernels the loader registered
+# a later import of the package binds its own kernels as an attribute
 import scipy.sparse
-from scipy.sparse import _sparsetools
 product = scipy.sparse.csr_array([[0.0, 2.0], [1.0, 0.0]]) @ [1.0, 3.0]
 print(json.dumps({
     "codes": codes,
     "seen": seen,
     "numpy_random": numpy_random,
-    "kernels_loaded": kernels is not None,
-    "kernels_reused": _sparsetools is kernels and product.tolist() == [6.0, 1.0],
+    "kernels_private": kernels.__name__ == "tomolab._sparsetools",
+    "kernels_attribute": hasattr(scipy.sparse, "_sparsetools") and product.tolist() == [6.0, 1.0],
 }))
 """
 
@@ -423,14 +579,14 @@ class TestImportFootprint:
 
     def test_scipy_sparse_never_loads(self, footprint):
         # importing the scipy.sparse package costs about 200 ms and 15 MB;
-        # tomolab loads only scipy's compiled CSR kernels, and a later
-        # import of the package reuses them
+        # tomolab loads only scipy's compiled CSR kernels, under its own
+        # name, and a later import of the package still binds scipy's
         stages = ["import tomolab", *footprint["codes"]]
         assert {stage: footprint["seen"][stage]["sparse"] for stage in stages} == {
             stage: [] for stage in stages
         }
-        assert footprint["kernels_loaded"]
-        assert footprint["kernels_reused"]
+        assert footprint["kernels_private"]
+        assert footprint["kernels_attribute"]
 
     def test_numpy_random_loads_with_the_package(self, footprint):
         # numpy 2 imports numpy.random on first use, which would otherwise

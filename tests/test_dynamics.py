@@ -2,7 +2,6 @@
 
 import importlib.machinery
 import io
-import sys
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ from tomolab.dynamics import (
     chebyshev_depth,
     unroll_depth,
 )
-from conftest import random_observed_network, same_bits
+from conftest import csr_view, random_observed_network, same_bits
 
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
 
@@ -56,8 +55,8 @@ def cholesky_correlations(a, beta, s):
 
 
 def scipy_chebyshev_correlations(a, beta, s):
-    """The Chebyshev solve with scipy's ``@`` on the ``.sparse`` view."""
-    A = a.sparse
+    """The Chebyshev solve with scipy's ``@`` on a view of the weights."""
+    A = csr_view(a)
     idx = s.indices()
     rho2 = a.rho_bound * a.rho_bound
     theta = 1.0 - 0.5 * rho2
@@ -85,7 +84,7 @@ def plain_loop_simulation(a, cfg, s, dump):
     Apart from the step itself this is the simulator's own accumulation, so
     its lag-0/lag-1 averages and dump text must agree bit for bit.
     """
-    A = a.sparse
+    A = csr_view(a)
     rng = np.random.default_rng(cfg.seed)
     y = np.zeros(a.n)
     done = 0
@@ -217,7 +216,6 @@ class TestAnalytic:
             _, s, a, _ = random_observed_network(rng, n_lo=5, n_hi=n_hi, s_lo=1, rule=rule)
             sets = (s, NodeSet((s[0],)))
             got = [analytic_correlations(a, 0.6, nodes) for nodes in sets]
-            assert a._sparse is None
             for nodes, corr in zip(sets, got):
                 want_r0, want_r1 = scipy_chebyshev_correlations(a, 0.6, nodes)
                 assert same_bits(corr.r0, want_r0)
@@ -315,13 +313,13 @@ class TestEmpirical:
     def test_chunk_boundaries_do_not_change_results(self):
         # 1200 main steps span three internal blocks; a single-pass dense
         # rerun of the same stream must agree to accumulation roundoff, and
-        # the CSR step must have built neither the dense nor the scipy view
+        # the CSR step must not have built the dense view
         rng = np.random.default_rng(54)
         _, _, a, _ = random_observed_network(rng, n_lo=6, n_hi=12)
         s = full_set(a)
         cfg = SimConfig(beta=0.4, n_max=1200, burn_in=600, seed=7)
         got = simulate_and_accumulate(a, cfg, s)
-        assert a._dense is None and a._sparse is None
+        assert a._dense is None
 
         rng2 = np.random.default_rng(7)
         noise = rng2.standard_normal((1800, a.n))
@@ -347,7 +345,7 @@ class TestEmpirical:
         # S is partial with gaps
         rng = np.random.default_rng(55)
         _, _, a, _ = random_observed_network(rng, n_lo=40, n_hi=80)
-        assert unroll_depth(a.sparse.nnz, a.n) == _MAX_UNROLL
+        assert unroll_depth(a.nnz, a.n) == _MAX_UNROLL
         s = NodeSet((1, 4, 5, 11, 23, 37))
         n_maxes = {1, _MAX_UNROLL - 1, _MAX_UNROLL, _MAX_UNROLL + 1, 511, 512, 513, 1200}
         for n_max in sorted(n_maxes - {0}):
@@ -359,7 +357,7 @@ class TestEmpirical:
     def test_kernel_step_matches_plain_loop_on_large_rings(self, n):
         # a ring's 3n entries put these sizes at one and three steps per call
         a = build_matrix(ring_graph(n), MET)
-        depth = unroll_depth(a.sparse.nnz, n)
+        depth = unroll_depth(a.nnz, n)
         assert depth == (1 if n == 25_000 else 3)
         s = NodeSet((0, 5, n // 2, n - 1))
         for steps in (1, depth + 1, 2 * depth + 2):
@@ -371,7 +369,7 @@ class TestEmpirical:
         # every noise block of `rows` steps costs ceil(rows / T) kernel calls
         rng = np.random.default_rng(56)
         _, s, a, _ = random_observed_network(rng, n_lo=40, n_hi=80)
-        depth = unroll_depth(a.sparse.nnz, a.n)
+        depth = unroll_depth(a.nnz, a.n)
         spy = KernelSpy()
         monkeypatch.setattr(dynamics, "_sparsetools", spy)
         for burn_in, n_max in ((0, 1), (3, 5), (600, 1200), (1000, 1029)):
@@ -453,13 +451,20 @@ class TestEmpirical:
 
 
 class TestKernelLoader:
-    def test_reuses_the_loaded_module(self):
-        # scipy.sparse is imported here, so the loader finds its kernels
-        assert load_sparsetools() is _sparsetools
-        assert dynamics._sparsetools is _sparsetools
+    def test_private_copy_matches_scipy(self):
+        # scipy.sparse is imported here too; the loader's module is its own,
+        # and scipy's attribute still resolves to scipy's
+        kernels = load_sparsetools()
+        assert kernels.__name__ == dynamics._sparsetools.__name__ == "tomolab._sparsetools"
+        assert scipy.sparse._sparsetools is _sparsetools is not kernels
+        rng = np.random.default_rng(58)
+        _, _, a, _ = random_observed_network(rng)
+        x = rng.standard_normal(a.n)
+        y = np.zeros(a.n)
+        kernels.csr_matvec(a.n, a.n, a.indptr, a.indices, a.data, x, y)
+        assert same_bits(y, csr_view(a) @ x)
 
     def test_missing_file_raises_naming_the_path(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".gone.so"])
         with pytest.raises(ImportError, match=r"sparse[/\\]_sparsetools\{suffix\}"):
             load_sparsetools()

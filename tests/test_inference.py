@@ -29,7 +29,6 @@ from tomolab import (
     classify_threshold,
     edgeless_graph,
     error_matrix,
-    granger_full,
     granger_truncated,
     h_entry_bound_check,
     sample_er,
@@ -52,13 +51,7 @@ class TestFullRecovery:
         for _ in range(20):
             _, _, a, _ = random_observed_network(rng, n_lo=5, n_hi=50)
             corr = analytic_correlations(a, 0.2, full_set(a))
-            assert np.abs(granger_full(corr) - a.entries).max() < 1e-9
-
-    def test_truncated_on_full_set_matches(self):
-        rng = np.random.default_rng(62)
-        _, _, a, _ = random_observed_network(rng)
-        corr = analytic_correlations(a, 0.2, full_set(a))
-        assert np.array_equal(granger_full(corr), granger_truncated(corr))
+            assert np.abs(granger_truncated(corr) - a.entries).max() < 1e-9
 
 
 class TestTruncationError:

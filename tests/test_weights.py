@@ -1,6 +1,5 @@
 """Combination-weight rules and their structural guarantees."""
 
-import io
 import math
 
 import numpy as np
@@ -15,14 +14,13 @@ from tomolab import (
     build_matrix,
     check_weight_floor,
     class_tau,
-    complete_graph,
     from_edges,
     laplacian_matrix,
     max_degree,
     metropolis_matrix,
     ring_graph,
 )
-from conftest import random_observed_network, same_bits
+from conftest import csr_view, random_observed_network, same_bits
 
 LAP = PolicyParams(CombinationRule.LAPLACIAN, rho=0.8)
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
@@ -144,7 +142,7 @@ class TestSparseBuilders:
             assert np.abs(got - want).max() <= 1e-15
             assert np.array_equal(got != 0.0, want != 0.0)
             assert np.array_equal(got, got.T)
-            assert (a.sparse != a.sparse.T).nnz == 0
+            assert (csr_view(a) != csr_view(a).T).nnz == 0
             assert a.n == got.shape[0] == g.n
             assert np.abs(a.row_sums() - got.sum(axis=1)).max() <= 1e-15
             support = got > 0.0
@@ -158,14 +156,14 @@ class TestSparseBuilders:
         with pytest.raises(ValueError):
             view[0, 1] = 1.0
         assert a.entries is view
-        assert not a.sparse.data.flags.writeable
+        assert not csr_view(a).data.flags.writeable
 
     def test_dense_input_is_the_cached_view(self):
         m = np.array([[0.3, 0.2], [0.2, 0.3]])
         a = CombinationMatrix(m, 0.6)
         assert np.array_equal(a.entries, m)
         assert not a.entries.flags.writeable
-        assert np.array_equal(a.sparse.toarray(), m)
+        assert np.array_equal(csr_view(a).toarray(), m)
 
     def test_support_ignores_explicit_zeros(self):
         # the off-diagonal pair (0, 1) is stored with value zero
@@ -178,7 +176,7 @@ class TestSparseBuilders:
             shape=(3, 3),
         )
         a = CombinationMatrix(w, 0.6)
-        assert a.sparse.nnz == 5
+        assert csr_view(a).nnz == 5
         assert a.support_graph() == from_edges(3, [])
         assert np.array_equal(a.entries, np.diag([0.3, 0.3, 0.5]))
 
@@ -205,8 +203,8 @@ class TestSparseBuilders:
 
 
 def scipy_support(a):
-    """support_graph read off scipy's COO form of the ``.sparse`` view."""
-    coo = a.sparse.tocoo()
+    """support_graph read off scipy's COO form of the weights."""
+    coo = csr_view(a).tocoo()
     upper = (coo.row < coo.col) & (coo.data > 0.0)
     return from_edges(a.n, np.column_stack([coo.row[upper], coo.col[upper]]))
 
@@ -215,20 +213,17 @@ def scipy_weight_floor(a, g, gamma):
     """check_weight_floor on scipy's sparse difference of the two patterns."""
     data = np.full(g.indices.size, gamma / max_degree(g))
     floor = scipy.sparse.csr_array((data, g.indices, g.indptr), shape=(g.n, g.n))
-    slack = (a.sparse - floor).tocoo()
+    slack = (csr_view(a) - floor).tocoo()
     off = slack.row != slack.col
     return bool(slack.data[off].min(initial=np.inf) >= -1e-12)
 
 
 def assert_matches_scipy_view(a, g):
-    """The array code paths agree bit for bit with scipy on the lazy ``.sparse``."""
+    """The array code paths agree bit for bit with scipy on the same arrays."""
     got = (a.row_sums(), a.support_graph(), a.entries)
     gammas = (1e-6, a.rho_bound / 2, a.rho_bound, 2 * a.rho_bound)
     floors = [check_weight_floor(a, g, gamma) for gamma in gammas]
-    # none of these reads the scipy view
-    assert a._sparse is None
-    view = a.sparse
-    assert a.sparse is view
+    view = csr_view(a)
     assert view.nnz == a.nnz
     assert np.shares_memory(view.data, a.data) and not view.data.flags.writeable
     assert same_bits(got[0], view.sum(axis=1))
@@ -269,7 +264,7 @@ class TestScipyViewOracle:
         assert a.indptr.tolist() == [0, 2, 2, 4]
         assert a.indices.tolist() == [0, 2, 0, 2]
         assert a.indptr.dtype == a.indices.dtype
-        assert same_bits(a.sparse.toarray(), m)
+        assert same_bits(csr_view(a).toarray(), m)
 
 
 class TestClassThreshold:
@@ -379,13 +374,3 @@ class TestValidation:
         assert a.n == 2
         assert a.row_sums() == pytest.approx([0.5, 0.5])
 
-
-class TestCsv:
-    def test_save_round_trips_through_repr(self):
-        a = metropolis_matrix(complete_graph(3), MET)
-        buf = io.StringIO()
-        a.save_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 3
-        parsed = np.array([[float(x) for x in ln.split(",")] for ln in lines])
-        assert np.array_equal(parsed, a.entries)
