@@ -9,6 +9,7 @@ a configuration problem, 3 on a numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -144,9 +145,8 @@ def _sim(cfg, where: str, default_beta: float) -> SimConfig:
 def _classifier(cfg) -> ClassifierSpec:
     """kmeans2, or a threshold whose eta is a number or ``"auto"`` (derived per N)."""
     method = _field(cfg, "method", ClassifierMethod, "classifier")
-    if method is ClassifierMethod.KMEANS2 or cfg.get("eta") == "auto":
-        return ClassifierSpec(method)
-    return ClassifierSpec(method, _field(cfg, "eta", float, "classifier", None))
+    eta = None if cfg.get("eta") == "auto" else _field(cfg, "eta", float, "classifier", None)
+    return ClassifierSpec(method, eta)
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -192,14 +192,9 @@ def _network_from_args(args):
 def _cmd_simulate(args) -> int:
     g, _, a, s, beta = _network_from_args(args)
     cfg = _sim({**vars(args), "beta": beta}, "options", beta)
-    dump = None
-    try:
-        if args.dump:
-            dump = open(_out_path(args.out, "trajectory.csv"), "w", encoding="ascii")
+    path = _out_path(args.out, "trajectory.csv") if args.dump else None
+    with open(path, "w", encoding="ascii") if path else contextlib.nullcontext() as dump:
         corr = simulate_and_accumulate(a, cfg, s, dump=dump)
-    finally:
-        if dump is not None:
-            dump.close()
     _save_matrix_csv(corr.r0, _out_path(args.out, "r0.csv"))
     _save_matrix_csv(corr.r1, _out_path(args.out, "r1.csv"))
     print(
@@ -256,22 +251,11 @@ def _cmd_recovery_prob(args) -> int:
         base_seed=args.seed if args.seed is not None else _field(cfg, "seed", int, where, 0),
     )
     rows = recovery_probability_experiment(experiment, threads=args.threads)
-    csv_text = recovery_rows_csv(rows)
     with open(_out_path(args.out, "recovery.csv"), "w", encoding="ascii") as fh:
-        fh.write(csv_text)
+        fh.write(recovery_rows_csv(rows))
     summary = {
         "schema": SCHEMA,
-        "rows": [
-            {
-                "N": r.n,
-                "trials": r.trials,
-                "perfect": r.perfect,
-                "fraction": r.fraction,
-                "ci_lo": r.ci_lo,
-                "ci_hi": r.ci_hi,
-            }
-            for r in rows
-        ],
+        "rows": [{"N" if k == "n" else k: v for k, v in vars(r).items()} for r in rows],
     }
     with open(_out_path(args.out, "recovery.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
@@ -329,10 +313,9 @@ def _cmd_theory_check(args) -> int:
         s_size=args.s_size,
     )
     rows = theory_check(cfg)
-    text = theory_rows_csv(rows)
     if args.out:
         with open(_out_path(args.out, "theory.csv"), "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write(theory_rows_csv(rows))
     header = f"{'N':>12} {'r_N':>4} {'error_tail':>14} {'distance_tail':>16}"
     print(header)
     for r in rows:

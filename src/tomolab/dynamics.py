@@ -14,6 +14,7 @@ the spectrum of ``I - A^2`` lies in ``[1 - rho^2, 1]``;
 the error of each column machine epsilon.  The cost is
 ``O(sqrt(kappa) nnz(A) |S|)`` time with ``kappa = 1 / (1 - rho^2)``, and
 ``O(N |S|)`` memory, against ``O(N^3)`` and ``O(N^2)`` for a dense solve.
+:func:`tomolab.inference.error_matrix` runs the same solver on ``I - B_{S'}``.
 
 The simulated path steps ``y <- A y + beta x`` with the CSR ``A``, in
 ``O(nnz(A))`` per step, and never builds the dense matrix.  It unrolls
@@ -155,53 +156,67 @@ def chebyshev_depth(rho: float) -> int:
     return math.ceil(math.log(eps / (2.0 * kappa)) / math.log(q))
 
 
+def _product(a: CombinationMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``A @ x`` into ``out``, by the zeroing and kernel call of scipy's ``@``."""
+    out[:] = 0.0
+    _sparsetools.csr_matvecs(
+        a.n, a.n, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+    )
+    return out
+
+
+def _chebyshev_solve(apply, rhs: np.ndarray, rho: float) -> np.ndarray:
+    """Solve ``(I - M) X = rhs`` by Chebyshev semi-iteration; ``apply(d)`` is ``M d``.
+
+    The spectrum of symmetric ``M`` must lie in ``[0, rho^2]``, so that
+    of ``I - M`` lies in ``[1 - rho^2, 1]``.  After
+    ``K = chebyshev_depth(rho)`` steps each column of ``X`` is within
+    ``2 q^K kappa <= eps`` of the exact solution, relative to its
+    right-hand side, in 2-norm.  ``rhs`` is overwritten with the residual.
+    A non-finite result raises :class:`NumericError`.
+    """
+    rho2 = rho * rho
+    theta = 1.0 - 0.5 * rho2
+    delta = 0.5 * rho2
+    sigma = theta / delta
+    r = rhs
+    x = np.zeros_like(r)
+    d = r / theta
+    ratio = 1.0 / sigma
+    for _ in range(chebyshev_depth(rho)):
+        x += d
+        r -= d - apply(d)
+        nxt = 1.0 / (2.0 * sigma - ratio)
+        d = (nxt * ratio) * d + (2.0 * nxt / delta) * r
+        ratio = nxt
+    if not np.isfinite(x).all():
+        raise NumericError("the Chebyshev solve is not finite")
+    return x
+
+
 def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> CorrelationSet:
     """Exact stationary correlations on ``s``, to double precision.
 
-    Solves ``(I - A^2) X = I[:, S]`` on the ``N x |S|`` block by Chebyshev
-    semi-iteration over the interval ``[1 - rho^2, 1]`` that holds the
-    spectrum, for ``K = chebyshev_depth(a.rho_bound)`` steps; each column of
-    ``X`` is then within ``2 q^K kappa <= eps`` of the exact solution in
-    2-norm.  ``R0_S = beta^2 X[S]`` (symmetrized) and
-    ``R1_S = A[S, :] beta^2 X``.  Cost: ``O(K nnz(A) |S|)`` time,
-    ``O(N |S|)`` memory.
+    Solves ``(I - A^2) X = I[:, S]`` on the ``N x |S|`` block with
+    :func:`_chebyshev_solve`; ``R0_S = beta^2 X[S]`` (symmetrized) and
+    ``R1_S = A[S, :] beta^2 X``.  Cost: ``O(K nnz(A) |S|)`` time with
+    ``K = chebyshev_depth(a.rho_bound)``, ``O(N |S|)`` memory.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     s.check_within(a.n)
     idx = s.indices()
     n, k = a.n, len(idx)
-    rho2 = a.rho_bound * a.rho_bound
-    theta = 1.0 - 0.5 * rho2
-    delta = 0.5 * rho2
-    sigma = theta / delta
     ad, aad = np.empty((n, k)), np.empty((n, k))
-
-    def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``A @ x`` into ``out``, by the zeroing and kernel call of scipy's ``@``."""
-        out[:] = 0.0
-        _sparsetools.csr_matvecs(
-            n, n, k, a.indptr, a.indices, a.data, x.ravel(), out.ravel()
-        )
-        return out
-
     r = np.zeros((n, k))
     r[idx, np.arange(k)] = 1.0
-    x = np.zeros_like(r)
-    d = r / theta
-    ratio = 1.0 / sigma
-    for _ in range(chebyshev_depth(a.rho_bound)):
-        x += d
-        r -= d - product(product(d, ad), aad)
-        nxt = 1.0 / (2.0 * sigma - ratio)
-        d = (nxt * ratio) * d + (2.0 * nxt / delta) * r
-        ratio = nxt
+    x = _chebyshev_solve(lambda d: _product(a, _product(a, d, ad), aad), r, a.rho_bound)
     cols = beta * beta * x
     if not np.isfinite(cols).all():
-        raise NumericError("the Chebyshev solve for R0 is not finite")
+        raise NumericError("R0 = beta^2 X overflows: it is not finite")
     r0 = cols[idx]
     r0 = 0.5 * (r0 + r0.T)
-    r1 = product(cols, ad)[idx]
+    r1 = _product(a, cols, ad)[idx]
     return CorrelationSet(r0, r1, 0, s)
 
 

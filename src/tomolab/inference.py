@@ -11,6 +11,14 @@ with ``S'`` the unobserved complement.  Each entry ``h_lm`` of ``H`` is
 bounded by ``rho^r / (1 - rho^2)`` where ``r`` is the distance between
 ``l`` and ``m`` after all edges internal to ``S`` are cut.
 
+:func:`error_matrix` forms neither ``B`` nor ``H``: it solves
+``(I - B_{S'}) X = B_{S'S}`` on ``|S|`` columns with the sparse ``A`` and
+the Chebyshev solver of :mod:`tomolab.dynamics`, and returns
+``E_S = A_{SS'} X``.  ``B_{S'}`` is a principal submatrix of ``A^2``, so
+by Cauchy interlacing its spectrum lies in ``[0, rho^2]`` with that of
+``A^2``, and the interval ``[1 - rho^2, 1]`` of ``I - A^2`` holds that of
+``I - B_{S'}``.  Only :func:`h_entry_bound_check` builds the dense ``H``.
+
 The estimator's ``|S| x |S|`` solve runs on ``numpy.linalg`` alone, so
 the package never imports ``scipy.linalg`` and a process maps numpy's BLAS
 only, not scipy's second copy.
@@ -24,6 +32,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dynamics import _chebyshev_solve, _product
 from .errors import NumericError, UnsupportedMethodError
 from .graphs import Graph, NodeSet, edgeless_graph, hop_counts, local_disconnect
 from .weights import CombinationMatrix
@@ -39,10 +48,8 @@ class InferenceArtifacts:
     """Truncated estimate with its exact error decomposition."""
 
     a_hat_s: np.ndarray
-    a_s_true: np.ndarray | None = None
-    e_s: np.ndarray | None = None
-    h: np.ndarray | None = None
-    b: np.ndarray | None = None
+    a_s_true: np.ndarray
+    e_s: np.ndarray
 
 
 class ClassifierMethod(Enum):
@@ -112,34 +119,37 @@ def error_matrix(a: CombinationMatrix, s: NodeSet) -> InferenceArtifacts:
     """Exact truncation error of the estimator on ``s``.
 
     Returns the artifacts with ``a_hat_s = a_s_true + e_s``; when ``s``
-    covers every node the error is identically zero.
+    covers every node the error is identically zero.  The solve works on
+    the CSR ``A`` in ``N x |S|`` arrays and never builds the dense view
+    (see the module docstring).  Cost: ``O(K nnz(A) |S|)`` time with
+    ``K = chebyshev_depth(a.rho_bound)``, ``O(N |S|)`` memory.  Weights
+    that make the result non-finite raise :class:`NumericError`.
     """
-    return _error_matrix(a, s, s.complement(a.n))
-
-
-def _error_matrix(a: CombinationMatrix, s: NodeSet, sp: NodeSet) -> InferenceArtifacts:
-    """:func:`error_matrix` with the complement ``sp`` of ``s`` given."""
     s.check_within(a.n)
     if len(s) == 0:
         raise ValueError("the observed set must be nonempty")
-    A = a.entries
     si = s.indices()
-    B = A @ A
-    if len(sp) == 0:
-        k = len(s)
-        zeros = np.zeros((k, k))
-        a_s = A[np.ix_(si, si)].copy()
-        return InferenceArtifacts(a_s.copy(), a_s, zeros, np.zeros((0, 0)), B)
-    pi = sp.indices()
-    b_sp = B[np.ix_(pi, pi)]
-    lhs = np.eye(len(sp)) - b_sp
-    try:
-        h = np.linalg.solve(lhs, np.eye(len(sp)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"I - B_{{S'}} solve failed: {exc}") from exc
-    e_s = A[np.ix_(si, pi)] @ h @ B[np.ix_(pi, si)]
-    a_s = A[np.ix_(si, si)]
-    return InferenceArtifacts(a_s + e_s, a_s.copy(), e_s, h, B)
+    n, k = a.n, len(si)
+    ad, aad = np.empty((n, k)), np.empty((n, k))
+
+    def hidden_b(d: np.ndarray) -> np.ndarray:
+        """``A (A d)`` with the rows of ``S`` zeroed."""
+        out = _product(a, _product(a, d, ad), aad)
+        out[si] = 0.0
+        return out
+
+    cols = np.zeros((n, k))
+    cols[si, np.arange(k)] = 1.0
+    a_cols = _product(a, cols, np.empty((n, k)))
+    a_s = a_cols[si]
+    rhs = _product(a, a_cols, cols)
+    rhs[si] = 0.0
+    x = _chebyshev_solve(hidden_b, rhs, a.rho_bound)
+    e_s = _product(a, x, a_cols)[si]
+    a_hat_s = a_s + e_s
+    if not np.isfinite(a_hat_s).all():
+        raise NumericError("the truncated estimate is not finite")
+    return InferenceArtifacts(a_hat_s, a_s, e_s)
 
 
 @dataclass
@@ -170,10 +180,10 @@ def h_entry_bound_check(a: CombinationMatrix, g: Graph, s: NodeSet) -> HBoundRep
     if g.n != a.n:
         raise ValueError("graph and matrix orders differ")
     s.check_within(a.n)
+    if len(s) == 0:
+        raise ValueError("the observed set must be nonempty")
     rho = a.rho_bound
     sp = s.complement(a.n)
-    arts = _error_matrix(a, s, sp)
-    h = arts.h
     m_pairs = len(sp) * (len(sp) - 1)
     if len(sp) == 0:
         return HBoundReport(0, 0, 0, float("inf"), 0.0)
@@ -181,9 +191,13 @@ def h_entry_bound_check(a: CombinationMatrix, g: Graph, s: NodeSet) -> HBoundRep
     A = a.entries
     si = s.indices()
     pi = sp.indices()
+    b_sp = (A @ A)[np.ix_(pi, pi)]
+    try:
+        h = np.linalg.solve(np.eye(len(sp)) - b_sp, np.eye(len(sp)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"I - B_{{S'}} solve failed: {exc}") from exc
     cross = A[np.ix_(pi, si)] @ A[np.ix_(si, pi)]
     inner = A[np.ix_(pi, pi)]
-    b_sp = arts.b[np.ix_(pi, pi)]
     block_dev = float(np.abs(b_sp - (cross + inner @ inner)).max())
 
     cut = local_disconnect(g, s, s)

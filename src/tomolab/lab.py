@@ -9,8 +9,6 @@ the thread pool size.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 import os
@@ -40,7 +38,7 @@ from .inference import (
     apply_classifier,
     granger_truncated,
 )
-from .patchwork import TieBreak, graph_distance, make_patches, run_patch_catch
+from .patchwork import TieBreak, _csv_text, graph_distance, make_patches, run_patch_catch
 from .weights import CombinationMatrix, PolicyParams, build_matrix, class_tau
 
 logger = logging.getLogger(__name__)
@@ -58,15 +56,6 @@ def resolve_threads(requested: int | None) -> int:
         except ValueError:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}")
     return wanted
-
-
-def _csv_text(header: list[str], rows) -> str:
-    """``header`` and ``rows`` as CSV text, with the csv module's CRLF line ends."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def _map_trials(fn, count: int, threads: int) -> list:
@@ -183,6 +172,8 @@ class EmbeddedSource:
             raise ConfigError(
                 f"unknown embedded source {self.kind!r}; pick from {self._KINDS}"
             )
+        if self.q is not None and self.kind != "er":
+            raise ConfigError(f"the {self.kind!r} embedded source takes no q (er only)")
         if self.q is not None and not 0.0 <= self.q <= 1.0:
             raise ConfigError(f"embedded edge probability must be in [0, 1], got {self.q}")
         if self.kind == "explicit" and self.graph is None:
@@ -225,6 +216,12 @@ class ClassifierSpec:
 
     method: ClassifierMethod
     eta: float | None = None
+
+    def __post_init__(self):
+        if self.eta is not None and self.method is ClassifierMethod.KMEANS2:
+            raise ConfigError("the kmeans2 classifier takes no eta")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ConfigError(f"eta must be a finite positive number, got {self.eta}")
 
     def resolve(self, policy: PolicyParams, n: int, p: float) -> Classifier:
         if self.method is ClassifierMethod.KMEANS2:
@@ -290,10 +287,6 @@ class RecoveryRow:
     ci_hi: float
 
 
-def _default_beta(policy: PolicyParams) -> float:
-    return 1.0 - policy.rho
-
-
 def _instance(
     cfg: ExperimentConfig | PatchCatchConfig, n: int, p: float, seed: int
 ) -> tuple[NodeSet, Graph, Graph, CombinationMatrix]:
@@ -311,7 +304,7 @@ def _recovery_trial(
     s, planted, _, a = _instance(cfg, n, p, derive_seed(cfg.base_seed, n_index, trial))
     try:
         if cfg.correlations.kind == "analytic":
-            corr = analytic_correlations(a, _default_beta(cfg.policy), s)
+            corr = analytic_correlations(a, 1.0 - cfg.policy.rho, s)
         else:
             sim = replace(
                 cfg.correlations.sim,
@@ -344,16 +337,8 @@ def recovery_probability_experiment(
         perfect = int(sum(outcomes))
         frac = perfect / cfg.trials
         half = 1.96 * math.sqrt(frac * (1.0 - frac) / cfg.trials)
-        rows.append(
-            RecoveryRow(
-                n,
-                cfg.trials,
-                perfect,
-                frac,
-                max(0.0, frac - half),
-                min(1.0, frac + half),
-            )
-        )
+        lo, hi = max(0.0, frac - half), min(1.0, frac + half)
+        rows.append(RecoveryRow(n, cfg.trials, perfect, frac, lo, hi))
     return rows
 
 
@@ -587,16 +572,8 @@ def theory_check(cfg: TheoryCheckConfig) -> list[TheoryRow]:
             raise ConfigError(f"probing radius r_N = {r_n} < 1 at N={n}")
         log_err = omega - alpha * (r_n + 4)
         log_dist = (r_n + 3) * (math.log(cfg.s_size) + omega) - log_n
-        rows.append(
-            TheoryRow(
-                n,
-                r_n,
-                math.exp(log_err),
-                math.exp(log_dist) if log_dist < 700.0 else math.inf,
-                log_err,
-                log_dist,
-            )
-        )
+        dist = math.exp(log_dist) if log_dist < 700.0 else math.inf
+        rows.append(TheoryRow(n, r_n, math.exp(log_err), dist, log_err, log_dist))
     return rows
 
 

@@ -281,15 +281,20 @@ def run_patch_catch(
     return state
 
 
-def experiment_log_csv(state: ReconstructionState) -> str:
-    """Log as ``experiment_index,patch_a,patch_b,pairs_decided,distance`` CSV."""
+def _csv_text(header: list[str], rows) -> str:
+    """``header`` and ``rows`` as CSV text, with the csv module's CRLF line ends."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(
-        ["experiment_index", "patch_a", "patch_b", "pairs_decided", "distance"]
-    )
-    for rec in state.experiment_log:
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def experiment_log_csv(state: ReconstructionState) -> str:
+    """Log as ``experiment_index,patch_a,patch_b,pairs_decided,distance`` CSV."""
+    return _csv_text(
+        ["experiment_index", "patch_a", "patch_b", "pairs_decided", "distance"],
+        (
             [
                 rec.index,
                 rec.patch_a,
@@ -297,5 +302,6 @@ def experiment_log_csv(state: ReconstructionState) -> str:
                 rec.pairs_decided,
                 "" if rec.distance is None else repr(rec.distance),
             ]
-        )
-    return out.getvalue()
+            for rec in state.experiment_log
+        ),
+    )

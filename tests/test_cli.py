@@ -98,6 +98,15 @@ class TestGenerate:
         assert rc == 0
         assert load_edge_list(str(out / "observable.edges")).n == 5
 
+    @pytest.mark.parametrize("source", ["ring:0.3", "match-p:0.3"])
+    def test_q_on_a_source_without_q_fails_cleanly(self, tmp_path, capsys, source):
+        rc = run(
+            "generate", "--n", "20", "--p", "0.1", "--embedded", source,
+            "--out", str(tmp_path / "net"),
+        )
+        assert rc == 2
+        assert "takes no q" in capsys.readouterr().err
+
     def test_unknown_source_fails_cleanly(self, tmp_path, capsys):
         rc = run(
             "generate", "--n", "20", "--p", "0.1", "--embedded", "torus",
@@ -329,6 +338,19 @@ _MALFORMED = {
     "n_grid-nested": ("recovery-prob", _with(_RECOVERY, None, n_grid=[[40]]), "'n_grid'"),
     "n_grid-float": ("recovery-prob", _with(_RECOVERY, None, n_grid=[40.7]), "'n_grid'"),
     "q-list": ("recovery-prob", _with(_RECOVERY, "embedded", q=[0.1]), "'q'"),
+    "q-on-ring": ("recovery-prob", _with(_RECOVERY, "embedded", kind="ring", q=0.3), "takes no q"),
+    "q-on-match_p": (
+        "recovery-prob", _with(_RECOVERY, "embedded", kind="match_p", q=0.3), "takes no q"
+    ),
+    "eta-nan": (
+        "recovery-prob", _with(_RECOVERY, "classifier", method="threshold", eta=float("nan")),
+        "finite positive",
+    ),
+    "eta-negative": (
+        "recovery-prob", _with(_RECOVERY, "classifier", method="threshold", eta=-0.1),
+        "finite positive",
+    ),
+    "eta-on-kmeans2": ("recovery-prob", _with(_RECOVERY, "classifier", eta=0.05), "takes no eta"),
     "lambda-null": ("recovery-prob", _with(_RECOVERY, "policy", **{"lambda": None}), "'lambda'"),
     "loglog-value": ("recovery-prob", _with(_RECOVERY, "c_rule", kind="loglog", value=2.0), "loglog"),
     "rule-unknown": ("recovery-prob", _with(_RECOVERY, "policy", rule="uniform"), "'metropolis'"),

@@ -256,6 +256,11 @@ class TestAnalytic:
         with pytest.raises(NumericError, match="not finite"):
             analytic_correlations(a, 0.3, full_set(a))
 
+    def test_overflowing_beta_raises_numeric_error(self):
+        a = build_matrix(ring_graph(5), MET)
+        with pytest.raises(NumericError, match="not finite"):
+            analytic_correlations(a, 1e200, NodeSet((0,)))
+
     def test_estimator_is_beta_invariant(self):
         rng = np.random.default_rng(52)
         _, s, a, _ = random_observed_network(rng)

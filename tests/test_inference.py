@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tomolab import (
     Classifier,
     ClassifierMethod,
+    CombinationMatrix,
     CombinationRule,
     CorrelationSet,
     NodeSet,
@@ -45,6 +46,15 @@ def full_set(a):
     return NodeSet(tuple(range(a.n)))
 
 
+def dense_error(a, s):
+    """``A_{SS'} (I - B_{S'})^{-1} B_{S'S}`` with dense matrices: the oracle."""
+    A = a.entries
+    si, pi = s.indices(), s.complement(a.n).indices()
+    B = A @ A
+    x = np.linalg.solve(np.eye(len(pi)) - B[np.ix_(pi, pi)], B[np.ix_(pi, si)])
+    return A[np.ix_(si, pi)] @ x
+
+
 class TestFullRecovery:
     def test_exact_on_random_networks(self):
         rng = np.random.default_rng(61)
@@ -75,7 +85,33 @@ class TestTruncationError:
         _, _, a, _ = random_observed_network(rng)
         arts = error_matrix(a, full_set(a))
         assert np.array_equal(arts.e_s, np.zeros((a.n, a.n)))
-        assert arts.h.shape == (0, 0)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.8, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize(
+        "rule", [CombinationRule.LAPLACIAN, CombinationRule.METROPOLIS]
+    )
+    def test_matches_dense_solve(self, rho, rule):
+        rng = np.random.default_rng(int(rho * 1000) + (rule is CombinationRule.LAPLACIAN))
+        for n_lo, n_hi in ((20, 60), (200, 300)):
+            _, s, a, _ = random_observed_network(
+                rng, n_lo=n_lo, n_hi=n_hi, rho=rho, rule=rule
+            )
+            sets = (s, full_set(a))
+            got = [error_matrix(a, nodes) for nodes in sets]
+            assert a._dense is None
+            for nodes, arts in zip(sets, got):
+                idx = nodes.indices()
+                assert np.abs(arts.e_s - dense_error(a, nodes)).max() < 1e-12
+                assert np.array_equal(arts.a_s_true, a.entries[np.ix_(idx, idx)])
+                assert np.array_equal(arts.a_hat_s, arts.a_s_true + arts.e_s)
+
+    def test_non_finite_weights_raise_numeric_error(self):
+        # the NaN sits in the observed block for {0} and reaches the
+        # hidden rows of the solve for {1}
+        a = CombinationMatrix(np.array([[np.nan, 0.0], [0.0, 0.1]]), 0.5, validate=False)
+        for nodes in (NodeSet((0,)), NodeSet((1,)), full_set(a)):
+            with pytest.raises(NumericError, match="not finite"):
+                error_matrix(a, nodes)
 
     def test_empty_set_rejected(self):
         rng = np.random.default_rng(66)

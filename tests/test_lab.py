@@ -186,6 +186,12 @@ class TestEmbeddedSources:
         with pytest.raises(ConfigError, match="needs a graph"):
             EmbeddedSource("explicit")
 
+    @pytest.mark.parametrize("kind", ["ring", "match_p", "explicit"])
+    def test_q_applies_to_er_only(self, kind):
+        graph = ring_graph(5) if kind == "explicit" else None
+        with pytest.raises(ConfigError, match="takes no q"):
+            EmbeddedSource(kind, 0.3, graph)
+
 
 class TestClassifierSpec:
     def test_kmeans_resolution_has_no_threshold(self):
@@ -204,6 +210,15 @@ class TestClassifierSpec:
         c = ClassifierSpec(ClassifierMethod.THRESHOLD).resolve(pol, 200, p)
         assert c.eta == pytest.approx(0.04225035123608308, abs=1e-15)
         assert c.eta == pytest.approx(class_tau(pol) / (200 * p), abs=0.0)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_threshold_rejected_at_construction(self, eta):
+        with pytest.raises(ConfigError, match="finite positive"):
+            ClassifierSpec(ClassifierMethod.THRESHOLD, eta)
+
+    def test_kmeans_takes_no_eta(self):
+        with pytest.raises(ConfigError, match="takes no eta"):
+            ClassifierSpec(ClassifierMethod.KMEANS2, 0.05)
 
 
 class TestCorrelationMode:
