@@ -29,7 +29,11 @@ stores each row's sum before it reads the next row, so the rows of step
 as ``A @ y + beta * x``.  ``T`` follows from a byte budget on the unrolled
 arrays (:func:`unroll_depth`) and falls to one step per call for large
 matrices.  The kernel releases the GIL, so trials on separate threads step
-in parallel.
+in parallel.  Each call's noise is drawn straight into the ``x`` slots of
+the buffer, so a simulation holds the unrolled arrays (at most
+``_UNROLL_BYTES`` unless one step alone is larger), the ``(2 T + 1) N``
+buffer doubles, of which ``T N`` are noise, and ``_CHUNK |S|`` retained
+samples: ``O(nnz(A) + T N)`` memory.
 
 Both paths call scipy's compiled CSR kernels: ``csr_matvecs`` on the
 matrix's own arrays, ``csr_matvec`` on the unrolled step.  They are loaded
@@ -57,7 +61,7 @@ _sparsetools = load_sparsetools()
 
 _CHUNK = 512
 # the unrolled step's arrays hold at most this many bytes, and at most
-# _MAX_UNROLL steps; 8 divides _CHUNK, so a noise block needs no short call
+# _MAX_UNROLL steps; 8 divides _CHUNK, so a sample block needs no short call
 _UNROLL_BYTES = 1 << 20
 _MAX_UNROLL = 8
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
@@ -174,6 +178,11 @@ def _chebyshev_solve(apply, rhs: np.ndarray, rho: float) -> np.ndarray:
     ``2 q^K kappa <= eps`` of the exact solution, relative to its
     right-hand side, in 2-norm.  ``rhs`` is overwritten with the residual.
     A non-finite result raises :class:`NumericError`.
+
+    ``apply`` returns an array that the solver may overwrite: it is scratch
+    until the next call, and it must alias neither ``d`` nor ``rhs``.  The
+    in-place step does the operations of ``r -= d - M d`` and
+    ``d = c1 d + c2 r`` in their order, so it rounds as they do.
     """
     rho2 = rho * rho
     theta = 1.0 - 0.5 * rho2
@@ -185,9 +194,13 @@ def _chebyshev_solve(apply, rhs: np.ndarray, rho: float) -> np.ndarray:
     ratio = 1.0 / sigma
     for _ in range(chebyshev_depth(rho)):
         x += d
-        r -= d - apply(d)
+        md = apply(d)
+        np.subtract(d, md, out=md)
+        r -= md
         nxt = 1.0 / (2.0 * sigma - ratio)
-        d = (nxt * ratio) * d + (2.0 * nxt / delta) * r
+        d *= nxt * ratio
+        np.multiply(r, 2.0 * nxt / delta, out=md)
+        d += md
         ratio = nxt
     if not np.isfinite(x).all():
         raise NumericError("the Chebyshev solve is not finite")
@@ -210,22 +223,14 @@ def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> Corr
     ad, aad = np.empty((n, k)), np.empty((n, k))
     r = np.zeros((n, k))
     r[idx, np.arange(k)] = 1.0
-    x = _chebyshev_solve(lambda d: _product(a, _product(a, d, ad), aad), r, a.rho_bound)
-    cols = beta * beta * x
+    cols = _chebyshev_solve(lambda d: _product(a, _product(a, d, ad), aad), r, a.rho_bound)
+    cols *= beta * beta
     if not np.isfinite(cols).all():
         raise NumericError("R0 = beta^2 X overflows: it is not finite")
     r0 = cols[idx]
     r0 = 0.5 * (r0 + r0.T)
     r1 = _product(a, cols, ad)[idx]
     return CorrelationSet(r0, r1, 0, s)
-
-
-def _noise_block(rng: np.random.Generator, kind: NoiseKind, rows: int, n: int) -> np.ndarray:
-    if kind is NoiseKind.GAUSSIAN:
-        return rng.standard_normal((rows, n))
-    if kind is NoiseKind.RADEMACHER:
-        return rng.integers(0, 2, size=(rows, n)).astype(np.float64) * 2.0 - 1.0
-    return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=(rows, n))
 
 
 def unroll_depth(nnz: int, n: int) -> int:
@@ -248,19 +253,21 @@ def _unrolled_step(a: CombinationMatrix, beta: float, steps: int):
     state ``steps`` times.
     """
     n = a.n
-    ends = a.indptr[1:]
-    # one step: [A | beta I] with A's columns moved onto y_0
-    cols = np.insert(a.indices.astype(np.int64) + steps * n, ends, np.arange(n))
-    data = np.insert(a.data, ends, beta)
-    starts = a.indptr[:-1].astype(np.int64) + np.arange(n)
-    per = cols.size
-    # copy t reads y_t and x_{t+1}, both n columns further on per copy
-    copy = np.arange(steps, dtype=np.int64)[:, None]
-    indices = (cols + n * copy).ravel()
-    indptr = np.append((starts + per * copy).ravel(), steps * per)
+    per = a.nnz + n
     big = max((2 * steps + 1) * n, steps * per) > np.iinfo(np.int32).max
     itype = np.int64 if big else np.int32
-    return indptr.astype(itype), indices.astype(itype), np.tile(data, steps)
+    ends = a.indptr[1:]
+    # one step: [A | beta I] with A's columns moved onto y_0
+    cols = np.insert(a.indices.astype(itype) + steps * n, ends, np.arange(n, dtype=itype))
+    data = np.insert(a.data, ends, beta)
+    starts = a.indptr[:-1].astype(itype) + np.arange(n, dtype=itype)
+    # copy t reads y_t and x_{t+1}, both n columns further on per copy
+    copy = np.arange(steps, dtype=itype)[:, None]
+    indices = (cols + n * copy).ravel()
+    indptr = np.empty(steps * n + 1, dtype=itype)
+    np.add(starts, per * copy, out=indptr[:-1].reshape(steps, n))
+    indptr[-1] = steps * per
+    return indptr, indices, np.tile(data, steps)
 
 
 def simulate_and_accumulate(
@@ -285,11 +292,18 @@ def simulate_and_accumulate(
 
     Every ``T = unroll_depth(nnz(A), N)`` steps are one ``csr_matvec``
     call on the unrolled step (see the module docstring) over one
-    preallocated buffer; no array is allocated per call.  The sums round
-    exactly as ``A @ y + beta * x`` with a scipy CSR ``A``, so the result
-    is bit for bit that of the plain loop, and the dense view is never
-    built.  Noise is drawn in blocks of ``_CHUNK`` rows, and a block of
-    ``rows`` steps takes ``ceil(rows / T)`` calls.
+    preallocated buffer; no float array is allocated per call.  The sums
+    round exactly as ``A @ y + beta * x`` with a scipy CSR ``A``, so the
+    result is bit for bit that of the plain loop, and the dense view is
+    never built.  Each call's ``T x N`` noise is drawn into the buffer's ``x``
+    slots; the generator's draws are prefix-consistent, so this is the
+    stream that one large block would give.  The observable samples are
+    gathered in blocks of ``_CHUNK`` steps, and a block of ``rows`` steps
+    takes ``ceil(rows / T)`` calls.  Memory: the unrolled arrays (at most
+    ``_UNROLL_BYTES`` when ``T > 1``, about ``12 (nnz(A) + N)`` bytes at
+    ``T = 1``), ``T N`` noise doubles in a ``(2 T + 1) N`` buffer,
+    ``_CHUNK |S|`` samples and, for Rademacher noise, a ``T x N`` integer
+    draw.
     """
     s.check_within(a.n)
     if len(s) == 0:
@@ -306,12 +320,24 @@ def simulate_and_accumulate(
     ys = out_flat.reshape(steps, n)
     idx = s.indices()
 
-    def advance(noise: np.ndarray, out: np.ndarray | None = None) -> None:
-        """Step once per noise row; gather each new state on ``s`` into ``out``."""
-        for lo in range(0, noise.shape[0], steps):
-            rows = min(steps, noise.shape[0] - lo)
+    def draw(x: np.ndarray) -> None:
+        """Fill ``x`` with the stream's next ``x.size`` noise values, row by row."""
+        if cfg.noise is NoiseKind.GAUSSIAN:
+            rng.standard_normal(out=x)
+        elif cfg.noise is NoiseKind.RADEMACHER:
+            np.multiply(rng.integers(0, 2, size=x.shape), 2.0, out=x)
+            x -= 1.0
+        else:
+            rng.random(out=x)
+            x *= 2.0 * _UNIFORM_HALF_WIDTH
+            x -= _UNIFORM_HALF_WIDTH
+
+    def advance(total: int, out: np.ndarray | None = None) -> None:
+        """Step ``total`` times; gather each new state on ``s`` into ``out``."""
+        for lo in range(0, total, steps):
+            rows = min(steps, total - lo)
             ys[:rows] = 0.0
-            xs[:rows] = noise[lo : lo + rows]
+            draw(xs[:rows])
             _sparsetools.csr_matvec(rows * n, w.size, indptr, indices, data, w, out_flat)
             if out is not None:
                 np.take(ys[:rows], idx, axis=1, out=out[lo : lo + rows])
@@ -320,7 +346,7 @@ def simulate_and_accumulate(
     done = 0
     while done < cfg.burn_in:
         rows = min(_CHUNK, cfg.burn_in - done)
-        advance(_noise_block(rng, cfg.noise, rows, n))
+        advance(rows)
         done += rows
 
     k = len(s)
@@ -341,7 +367,7 @@ def simulate_and_accumulate(
     buf = np.empty((_CHUNK, k))
     while done < cfg.n_max:
         rows = min(_CHUNK, cfg.n_max - done)
-        advance(_noise_block(rng, cfg.noise, rows, n), buf)
+        advance(rows, buf)
         cur = buf[:rows]
         r0_acc += cur.T @ cur
         prev = np.vstack([ys_prev[None, :], cur[:-1]])

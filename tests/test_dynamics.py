@@ -2,6 +2,7 @@
 
 import importlib.machinery
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from tomolab._kernels import load_sparsetools
 from tomolab.dynamics import (
     _CHUNK,
     _MAX_UNROLL,
-    _noise_block,
+    _UNIFORM_HALF_WIDTH,
+    _UNROLL_BYTES,
     chebyshev_depth,
     unroll_depth,
 )
@@ -78,6 +80,15 @@ def scipy_chebyshev_correlations(a, beta, s):
     return 0.5 * (r0 + r0.T), A[idx] @ cols
 
 
+def _noise_block(rng, kind, rows, n):
+    """``rows`` noise vectors drawn in one call, as the simulator once did."""
+    if kind is NoiseKind.GAUSSIAN:
+        return rng.standard_normal((rows, n))
+    if kind is NoiseKind.RADEMACHER:
+        return rng.integers(0, 2, size=(rows, n)).astype(np.float64) * 2.0 - 1.0
+    return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=(rows, n))
+
+
 def plain_loop_simulation(a, cfg, s, dump):
     """Oracle for the kernel step: ``y = A @ y + beta * x`` on the same stream.
 
@@ -121,6 +132,16 @@ def plain_loop_simulation(a, cfg, s, dump):
         done += rows
     r0 = r0_acc / (cfg.n_max + 1)
     return 0.5 * (r0 + r0.T), r1_acc / cfg.n_max
+
+
+def traced_peak(f):
+    """Peak bytes that ``tracemalloc`` sees while ``f()`` runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def matches_plain_loop(a, cfg, s):
@@ -261,6 +282,15 @@ class TestAnalytic:
         with pytest.raises(NumericError, match="not finite"):
             analytic_correlations(a, 1e200, NodeSet((0,)))
 
+    def test_peak_memory(self):
+        # the solve holds five N x |S| arrays (the residual, x, the direction
+        # and the two product buffers), and its steps allocate none
+        n = 3000
+        a = build_matrix(ring_graph(n), MET)
+        s = NodeSet(tuple(range(0, n, 300)))
+        peak = traced_peak(lambda: analytic_correlations(a, 0.5, s))
+        assert peak <= 6 * 8 * n * len(s)
+
     def test_estimator_is_beta_invariant(self):
         rng = np.random.default_rng(52)
         _, s, a, _ = random_observed_network(rng)
@@ -388,6 +418,17 @@ class TestEmpirical:
                 for lo in range(0, total, _CHUNK)
             ]
             assert spy.calls == sum(-(-rows // depth) for rows in blocks)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_peak_memory(self, kind):
+        # the unrolled arrays, the (2T + 1) N work buffer, whose x slots take
+        # the noise, and one T x N draw: far below a _CHUNK x N noise block
+        n = 20_000
+        a = build_matrix(ring_graph(n), MET)
+        s = NodeSet((0, 5, n // 2, n - 1))
+        cfg = SimConfig(beta=0.45, n_max=600, burn_in=3, noise=kind, seed=1)
+        peak = traced_peak(lambda: simulate_and_accumulate(a, cfg, s))
+        assert peak <= 4 * _UNROLL_BYTES < _CHUNK * 8 * n
 
     @pytest.mark.parametrize("broken", ["copied", "reordered"])
     def test_oracle_catches_a_kernel_that_does_not_chain(self, broken, monkeypatch):

@@ -276,10 +276,11 @@ class TestSampling:
         assert not g.adjacency.flags.writeable
 
     def test_partial_er_peak_memory(self):
-        # the boolean adjacency and one transposed copy: 2 N^2 bytes, where
-        # an N x N float draw alone would take 8 N^2
-        n = 2000
-        spec = PartialErSpec(n, 0.01, NodeSet((0, 1, 2)), ring_graph(3))
+        # one block of _BLOCK_DOUBLES uniforms (8 bytes each), its boolean
+        # mask (1 byte each) and the int64 edge keys, O(m): 16 bytes per
+        # expected edge leaves room for the keys of the block being read
+        n, p = 2000, 0.01
+        spec = PartialErSpec(n, p, NodeSet((0, 1, 2)), ring_graph(3))
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
@@ -287,7 +288,7 @@ class TestSampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * n * n
+        assert peak <= 9 * _BLOCK_DOUBLES + 16 * (p * n * (n - 1) / 2)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
