@@ -17,23 +17,25 @@ the error of each column machine epsilon.  The cost is
 :func:`tomolab.inference.error_matrix` runs the same solver on ``I - B_{S'}``.
 
 The simulated path steps ``y <- A y + beta x`` with the CSR ``A``, in
-``O(nnz(A))`` per step, and never builds the dense matrix.  It unrolls
-``T`` steps into one sparse matrix: ``T`` copies of the rows of
-``[A | beta I]``, copy ``t`` shifted to address the ``y_{t-1}`` and ``x_t``
-slots of one flat work buffer ``[x_1 ... x_T | y_0 y_1 ... y_T]``.  One
-call of the CSR matrix-vector kernel then writes ``y_1 ... y_T`` into the
-tail of that same buffer.  The kernel walks the rows in order and
-stores each row's sum before it reads the next row, so the rows of step
-``t`` read the ``y_{t-1}`` that the call has just written.  Each row adds
+``O(nnz(A))`` per step, and never builds the dense matrix.  It steps over
+blocks of ``B`` states in one flat buffer ``[x_1 ... x_B | y_0 y_1 ... y_B]``
+of at most ``_BUFFER_BYTES`` (:func:`_block_depth`); each block gets one
+zero fill, one noise draw straight into its ``x`` slots and one gather of
+the observable states.  Within a block, ``T`` steps are unrolled into one
+sparse matrix: ``T`` copies of the rows of ``[A | beta I]``, copy ``t``
+shifted to address the ``y_t`` and ``x_{t+1}`` slots.  Handed the buffer
+from ``x_{c+1}`` on, one call of the CSR matrix-vector kernel writes
+``y_{c+1} ... y_{c+T}`` into the same buffer.  The kernel walks the rows in
+order and stores each row's sum before it reads the next row, so the rows
+of each step read the state that the call has just written.  Each row adds
 ``A``'s terms in stored order and then ``beta x_i``, which rounds exactly
 as ``A @ y + beta * x``.  ``T`` follows from a byte budget on the unrolled
 arrays (:func:`unroll_depth`) and falls to one step per call for large
 matrices.  The kernel releases the GIL, so trials on separate threads step
-in parallel.  Each call's noise is drawn straight into the ``x`` slots of
-the buffer, so a simulation holds the unrolled arrays (at most
-``_UNROLL_BYTES`` unless one step alone is larger), the ``(2 T + 1) N``
-buffer doubles, of which ``T N`` are noise, and ``_CHUNK |S|`` retained
-samples: ``O(nnz(A) + T N)`` memory.
+in parallel.  A simulation holds the unrolled arrays (at most
+``_UNROLL_BYTES`` unless one step alone is larger), the ``(2 B + 1) N``
+buffer doubles (at most ``_BUFFER_BYTES`` unless ``B = T`` needs more) and
+``_CHUNK |S|`` retained samples: ``O(nnz(A) + T N)`` memory.
 
 Both paths call scipy's compiled CSR kernels: ``csr_matvecs`` on the
 matrix's own arrays, ``csr_matvec`` on the unrolled step.  They are loaded
@@ -54,16 +56,19 @@ import numpy as np
 
 from ._kernels import load_sparsetools
 from .errors import NumericError
-from .graphs import NodeSet
+from .graphs import NodeSet, _row_entries
 from .weights import CombinationMatrix
 
 _sparsetools = load_sparsetools()
 
 _CHUNK = 512
 # the unrolled step's arrays hold at most this many bytes, and at most
-# _MAX_UNROLL steps; 8 divides _CHUNK, so a sample block needs no short call
-_UNROLL_BYTES = 1 << 20
+# _MAX_UNROLL steps
+_UNROLL_BYTES = 1 << 19
 _MAX_UNROLL = 8
+# the simulation's block buffer holds at most this many bytes, unless one
+# unrolled call alone needs more
+_BUFFER_BYTES = 1 << 18
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 
@@ -169,6 +174,22 @@ def _product(a: CombinationMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
+def _rows_product(a: CombinationMatrix, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(A @ x)[rows]`` from the CSR slice of ``rows`` alone.
+
+    Each row sums its stored entries in order into a zeroed output, as in
+    :func:`_product`, so the rows round as there.
+    """
+    at, ends = _row_entries(a.indptr, rows)
+    indptr = np.zeros(rows.size + 1, dtype=a.indptr.dtype)
+    indptr[1:] = ends
+    out = np.zeros((rows.size, x.shape[1]))
+    _sparsetools.csr_matvecs(
+        rows.size, a.n, x.shape[1], indptr, a.indices[at], a.data[at], x.ravel(), out.ravel()
+    )
+    return out
+
+
 def _chebyshev_solve(apply, rhs: np.ndarray, rho: float) -> np.ndarray:
     """Solve ``(I - M) X = rhs`` by Chebyshev semi-iteration; ``apply(d)`` is ``M d``.
 
@@ -229,7 +250,7 @@ def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> Corr
         raise NumericError("R0 = beta^2 X overflows: it is not finite")
     r0 = cols[idx]
     r0 = 0.5 * (r0 + r0.T)
-    r1 = _product(a, cols, ad)[idx]
+    r1 = _rows_product(a, idx, cols)
     return CorrelationSet(r0, r1, 0, s)
 
 
@@ -243,31 +264,54 @@ def unroll_depth(nnz: int, n: int) -> int:
     return max(1, min(_MAX_UNROLL, _UNROLL_BYTES // (12 * (nnz + n))))
 
 
-def _unrolled_step(a: CombinationMatrix, beta: float, steps: int):
+def _block_depth(n: int, steps: int) -> int:
+    """Steps ``B`` per simulation block for ``n`` nodes and ``steps`` per call.
+
+    ``B`` is the largest multiple of ``steps`` up to ``_CHUNK`` whose
+    buffer of ``(2 B + 1) n`` doubles fits in ``_BUFFER_BYTES``, and at
+    least ``steps``.
+    """
+    fit = (_BUFFER_BYTES // (8 * n) - 1) // 2
+    return steps * max(1, min(fit, _CHUNK) // steps)
+
+
+def _unrolled_step(a: CombinationMatrix, beta: float, steps: int, block: int):
     """CSR arrays ``(indptr, indices, data)`` of ``steps`` chained steps.
 
     Row ``(t, i)`` holds ``A``'s row ``i`` in stored order on the columns of
     ``y_t`` and then ``beta`` on the column of ``x_{t+1}[i]``, in a buffer
-    laid out as ``[x_1 ... x_T | y_0 ... y_T]`` with ``T = steps``.  Writing
-    the product into the buffer from ``y_1`` on therefore advances the
-    state ``steps`` times.
+    laid out as ``[x_1 ... x_B | y_0 ... y_B]`` with ``B = block``.
+    Writing the product into the buffer from ``y_1`` on therefore advances
+    the state ``steps`` times; handed the buffer from ``x_{c+1}`` on, and
+    writing from ``y_{c+1}`` on, it advances the state from ``y_c``.
     """
     n = a.n
     per = a.nnz + n
-    big = max((2 * steps + 1) * n, steps * per) > np.iinfo(np.int32).max
+    big = max((2 * block + 1) * n, steps * per) > np.iinfo(np.int32).max
     itype = np.int64 if big else np.int32
-    ends = a.indptr[1:]
-    # one step: [A | beta I] with A's columns moved onto y_0
-    cols = np.insert(a.indices.astype(itype) + steps * n, ends, np.arange(n, dtype=itype))
-    data = np.insert(a.data, ends, beta)
-    starts = a.indptr[:-1].astype(itype) + np.arange(n, dtype=itype)
+    # one step, [A | beta I]: row i spans bounds[i] : bounds[i + 1], A's
+    # entries on the columns of y_0 and then beta at bounds[i + 1] - 1
+    bounds = a.indptr.astype(itype) + np.arange(n + 1, dtype=itype)
+    at_beta = bounds[1:] - 1
+    of_a = np.ones(per, dtype=bool)
+    of_a[at_beta] = False
+    indices = np.empty((steps, per), dtype=itype)
+    data = np.empty((steps, per))
+    cols, values = indices[0], data[0]
+    cols[of_a] = a.indices
+    cols += block * n
+    cols[at_beta] = np.arange(n)
+    values[of_a] = a.data
+    values[at_beta] = beta
     # copy t reads y_t and x_{t+1}, both n columns further on per copy
-    copy = np.arange(steps, dtype=itype)[:, None]
-    indices = (cols + n * copy).ravel()
+    for t in range(1, steps):
+        np.add(cols, t * n, out=indices[t])
+    data[1:] = values
     indptr = np.empty(steps * n + 1, dtype=itype)
-    np.add(starts, per * copy, out=indptr[:-1].reshape(steps, n))
+    copy = np.arange(steps, dtype=itype)[:, None]
+    np.add(bounds[:-1], per * copy, out=indptr[:-1].reshape(steps, n))
     indptr[-1] = steps * per
-    return indptr, indices, np.tile(data, steps)
+    return indptr, indices.ravel(), data.ravel()
 
 
 def simulate_and_accumulate(
@@ -290,20 +334,22 @@ def simulate_and_accumulate(
     ``(a, cfg, s)``.  When ``dump`` is given, every retained observable
     sample is appended to it as ``n,node_id,y`` CSV rows.
 
-    Every ``T = unroll_depth(nnz(A), N)`` steps are one ``csr_matvec``
-    call on the unrolled step (see the module docstring) over one
-    preallocated buffer; no float array is allocated per call.  The sums
-    round exactly as ``A @ y + beta * x`` with a scipy CSR ``A``, so the
-    result is bit for bit that of the plain loop, and the dense view is
-    never built.  Each call's ``T x N`` noise is drawn into the buffer's ``x``
-    slots; the generator's draws are prefix-consistent, so this is the
-    stream that one large block would give.  The observable samples are
-    gathered in blocks of ``_CHUNK`` steps, and a block of ``rows`` steps
-    takes ``ceil(rows / T)`` calls.  Memory: the unrolled arrays (at most
-    ``_UNROLL_BYTES`` when ``T > 1``, about ``12 (nnz(A) + N)`` bytes at
-    ``T = 1``), ``T N`` noise doubles in a ``(2 T + 1) N`` buffer,
-    ``_CHUNK |S|`` samples and, for Rademacher noise, a ``T x N`` integer
-    draw.
+    The state advances in blocks of ``B = _block_depth(N, T)`` steps over
+    one preallocated buffer ``[x_1 ... x_B | y_0 ... y_B]`` of at most
+    ``_BUFFER_BYTES`` (see the module docstring).  Each block's ``B x N``
+    noise is drawn in one call straight into the buffer's ``x`` slots; the
+    generator's draws are prefix-consistent, so this is the stream that one
+    large draw would give.  Every ``T = unroll_depth(nnz(A), N)`` steps of
+    a block are one ``csr_matvec`` call on the unrolled step; no float
+    array is allocated per call.  The sums round exactly as
+    ``A @ y + beta * x`` with a scipy CSR ``A``, so the result is bit for
+    bit that of the plain loop, and the dense view is never built.  The
+    observable samples are gathered in blocks of ``_CHUNK`` steps, and such
+    a block of ``rows`` steps takes ``ceil(rows / T)`` calls, since ``T``
+    divides ``B``.  Memory: the unrolled arrays (at most ``_UNROLL_BYTES``
+    when ``T > 1``, about ``12 (nnz(A) + N)`` bytes at ``T = 1``), the
+    ``(2 B + 1) N`` buffer doubles, ``_CHUNK |S|`` samples and, for
+    Rademacher noise, a ``B x N`` integer draw.
     """
     s.check_within(a.n)
     if len(s) == 0:
@@ -311,13 +357,13 @@ def simulate_and_accumulate(
     n = a.n
     rng = np.random.default_rng(cfg.seed)
     steps = unroll_depth(a.nnz, n)
-    indptr, indices, data = _unrolled_step(a, cfg.beta, steps)
-    # w = [x_1 ... x_T | y_0 y_1 ... y_T]; the kernel writes from y_1 on
-    w = np.zeros((2 * steps + 1) * n)
-    xs = w[: steps * n].reshape(steps, n)
-    y0 = w[steps * n : (steps + 1) * n]
-    out_flat = w[(steps + 1) * n :]
-    ys = out_flat.reshape(steps, n)
+    block = _block_depth(n, steps)
+    indptr, indices, data = _unrolled_step(a, cfg.beta, steps, block)
+    # w = [x_1 ... x_B | y_0 y_1 ... y_B]; the kernel writes from y_1 on
+    w = np.zeros((2 * block + 1) * n)
+    xs = w[: block * n].reshape(block, n)
+    y0 = w[block * n : (block + 1) * n]
+    ys = w[(block + 1) * n :].reshape(block, n)
     idx = s.indices()
 
     def draw(x: np.ndarray) -> None:
@@ -334,11 +380,21 @@ def simulate_and_accumulate(
 
     def advance(total: int, out: np.ndarray | None = None) -> None:
         """Step ``total`` times; gather each new state on ``s`` into ``out``."""
-        for lo in range(0, total, steps):
-            rows = min(steps, total - lo)
+        for lo in range(0, total, block):
+            rows = min(block, total - lo)
             ys[:rows] = 0.0
             draw(xs[:rows])
-            _sparsetools.csr_matvec(rows * n, w.size, indptr, indices, data, w, out_flat)
+            for c in range(0, rows, steps):
+                # from y_c, with x_{c+1} on: the call writes y_{c+1} on
+                _sparsetools.csr_matvec(
+                    min(steps, rows - c) * n,
+                    w.size - c * n,
+                    indptr,
+                    indices,
+                    data,
+                    w[c * n :],
+                    w[(block + 1 + c) * n :],
+                )
             if out is not None:
                 np.take(ys[:rows], idx, axis=1, out=out[lo : lo + rows])
             y0[:] = ys[rows - 1]

@@ -1,5 +1,7 @@
 """Shared builders for randomized test instances, a scipy view of the
-weights, and a bitwise comparison."""
+weights, a bitwise comparison and a traced memory peak."""
+
+import tracemalloc
 
 import numpy as np
 import scipy.sparse
@@ -61,3 +63,13 @@ def same_bits(got, want):
     """Equal dtype, shape and bytes: bit for bit, ``-0.0`` and NaN payloads included."""
     got, want = np.asarray(got), np.asarray(want)
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def traced_peak(f):
+    """Peak bytes that ``tracemalloc`` sees while ``f()`` runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -2,7 +2,6 @@
 
 import importlib.machinery
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from tomolab.dynamics import (
     chebyshev_depth,
     unroll_depth,
 )
-from conftest import csr_view, random_observed_network, same_bits
+from conftest import csr_view, random_observed_network, same_bits, traced_peak
 
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
 
@@ -132,16 +131,6 @@ def plain_loop_simulation(a, cfg, s, dump):
         done += rows
     r0 = r0_acc / (cfg.n_max + 1)
     return 0.5 * (r0 + r0.T), r1_acc / cfg.n_max
-
-
-def traced_peak(f):
-    """Peak bytes that ``tracemalloc`` sees while ``f()`` runs."""
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def matches_plain_loop(a, cfg, s):
@@ -388,7 +377,23 @@ class TestEmpirical:
             assert matches_plain_loop(a, cfg, s)
         assert a._dense is None
 
-    @pytest.mark.parametrize("n", [25_000, 7_281])
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_block_boundaries_match_plain_loop(self, kind):
+        # n_max and burn_in on each side of one buffer block of B steps,
+        # which holds several unrolled calls and ends inside a sample block
+        rng = np.random.default_rng(58)
+        _, _, a, _ = random_observed_network(rng, n_lo=300, n_hi=300)
+        depth = unroll_depth(a.nnz, a.n)
+        block = dynamics._block_depth(a.n, depth)
+        assert depth < block < _CHUNK and block % depth == 0
+        s = NodeSet((0, 17, 150, 299))
+        lengths = (block - 1, block, block + 1, 2 * block + depth)
+        for burn_in in lengths:
+            for n_max in lengths:
+                cfg = SimConfig(beta=0.45, n_max=n_max, burn_in=burn_in, noise=kind, seed=n_max)
+                assert matches_plain_loop(a, cfg, s)
+
+    @pytest.mark.parametrize("n", [25_000, 3_640])
     def test_kernel_step_matches_plain_loop_on_large_rings(self, n):
         # a ring's 3n entries put these sizes at one and three steps per call
         a = build_matrix(ring_graph(n), MET)
@@ -421,8 +426,8 @@ class TestEmpirical:
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_peak_memory(self, kind):
-        # the unrolled arrays, the (2T + 1) N work buffer, whose x slots take
-        # the noise, and one T x N draw: far below a _CHUNK x N noise block
+        # the unrolled arrays, the (2B + 1) N block buffer, whose x slots take
+        # the noise, and one B x N draw: far below a _CHUNK x N noise block
         n = 20_000
         a = build_matrix(ring_graph(n), MET)
         s = NodeSet((0, 5, n // 2, n - 1))

@@ -1,7 +1,6 @@
 """Graph container, node sets, the partial-ER sampler and graph surgery."""
 
 import io
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +28,9 @@ from tomolab import (
     save_edge_list,
     subgraph,
 )
-from tomolab.graphs import _BLOCK_DOUBLES, hop_counts
+from tomolab.graphs import _BLOCK_DOUBLES, _er_edges, _from_upper, hop_counts
+
+from conftest import traced_peak
 
 
 def one_shot_er(n, p, rng):
@@ -254,8 +255,9 @@ class TestSampling:
         outside = subgraph(g, s.complement(40))
         assert 0 < outside.edge_count() < outside.n * (outside.n - 1) // 2
 
-    # 2**18 uniforms per block: n=300 fits one block, n=1024 takes four
-    # full blocks of 256 rows, n=513 and n=2100 end on a ragged last block
+    # 2**16 uniforms per block: n=300 (blocks of 218 rows), n=513 (127) and
+    # n=2100 (31) end on a ragged last block, n=1024 on the last of 16 full
+    # blocks of 64 rows
     @pytest.mark.parametrize("n", [1, 2, 300, 513, 1024, 2100])
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.5, 1.0])
     def test_er_matches_one_shot_stream(self, n, p):
@@ -275,20 +277,39 @@ class TestSampling:
         assert rng.random() == oracle_rng.random()
         assert not g.adjacency.flags.writeable
 
+    # n=256 fits one block of 256 rows; n=571 takes five blocks of 114
+    # rows and a last block of one row
+    @pytest.mark.parametrize("n", [1, 2, 256, 571])
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.5, 1.0])
+    def test_er_block_boundaries_match_one_shot_stream(self, n, p):
+        rows = _BLOCK_DOUBLES // n
+        if n == 256:
+            assert n <= rows
+        elif n == 571:
+            assert n % rows == 1
+        rng, oracle_rng = np.random.default_rng(29), np.random.default_rng(29)
+        g = sample_er(n, p, rng)
+        assert g == one_shot_er(n, p, oracle_rng)
+        assert rng.random() == oracle_rng.random()
+
     def test_partial_er_peak_memory(self):
-        # one block of _BLOCK_DOUBLES uniforms (8 bytes each), its boolean
-        # mask (1 byte each) and the int64 edge keys, O(m): 16 bytes per
-        # expected edge leaves room for the keys of the block being read
+        # one block of _BLOCK_DOUBLES uniforms (8 bytes each) and its boolean
+        # mask (1 byte each), then the edge keys and their in-place assembly
+        # into rows: 56 bytes per expected edge
         n, p = 2000, 0.01
         spec = PartialErSpec(n, p, NodeSet((0, 1, 2)), ring_graph(3))
         rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            sample_partial_er(spec, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9 * _BLOCK_DOUBLES + 16 * (p * n * (n - 1) / 2)
+        peak = traced_peak(lambda: sample_partial_er(spec, rng))
+        assert peak <= 9 * _BLOCK_DOUBLES + 56 * (p * n * (n - 1) / 2)
+
+    def test_row_assembly_bytes_per_edge(self):
+        # the lower keys reuse the column array and the sorted keys become
+        # the columns in place: beyond the keys, at most 56 bytes per edge
+        n = 3000
+        keys = _er_edges(n, 0.025, np.random.default_rng(0))
+        assert keys.size >= 100_000
+        peak = traced_peak(lambda: _from_upper(n, keys))
+        assert peak <= 56 * keys.size
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -628,18 +649,14 @@ class TestSparseRows:
         assert g.indices.nbytes + g.indptr.nbytes < n * n // 50
 
     def test_partial_er_memory_below_one_dense_matrix(self):
-        # one block of uniforms is 8 * _BLOCK_DOUBLES bytes (2 MB); the dense
+        # one block of uniforms and its mask is 9 * _BLOCK_DOUBLES bytes
+        # (576 KB) and the rows take 56 bytes per expected edge; the dense
         # sampler held an N x N bool and its transposed copy, 2 N^2 = 8 MB
-        n = 2000
-        spec = PartialErSpec(n, 0.01, NodeSet((0, 1, 2)), ring_graph(3))
+        n, p = 2000, 0.01
+        spec = PartialErSpec(n, p, NodeSet((0, 1, 2)), ring_graph(3))
         rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            sample_partial_er(spec, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 8 * _BLOCK_DOUBLES < 2 * n * n
+        peak = traced_peak(lambda: sample_partial_er(spec, rng))
+        assert peak <= 9 * _BLOCK_DOUBLES + 56 * (p * n * (n - 1) / 2) < 2 * n * n
 
     def test_complement_matches_loop(self):
         rng = np.random.default_rng(9)
