@@ -210,12 +210,14 @@ def _cmd_estimate(args) -> int:
     spec = _classifier({"method": args.classifier, "eta": eta})
     if spec.method is ClassifierMethod.THRESHOLD and spec.eta is None and args.p is None:
         raise ConfigError("--eta auto needs --p to derive the threshold")
+    if args.p is not None and not 0.0 < args.p <= 1.0:
+        raise ConfigError(f"--p must lie in (0, 1], got {args.p}")
     if args.mode == "analytic":
         corr = analytic_correlations(a, beta, s)
     else:
         corr = simulate_and_accumulate(a, _sim({**vars(args), "beta": beta}, "options", beta), s)
     est = granger_truncated(corr)
-    decided = apply_classifier(est, spec.resolve(policy, g.n, args.p or 1.0))
+    decided = apply_classifier(est, spec.resolve(policy, g.n, args.p))
     _save_matrix_csv(est, _out_path(args.out, "a_hat.csv"))
     report = {
         "schema": SCHEMA,

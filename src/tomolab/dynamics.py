@@ -56,7 +56,7 @@ import numpy as np
 
 from ._kernels import load_sparsetools
 from .errors import NumericError
-from .graphs import NodeSet, _row_entries
+from .graphs import NodeSet, _locate, _row_entries
 from .weights import CombinationMatrix
 
 _sparsetools = load_sparsetools()
@@ -135,10 +135,7 @@ class CorrelationSet:
 
     def restrict(self, nodes: NodeSet) -> "CorrelationSet":
         """Correlations of a subset of the observed nodes, in subset order."""
-        have, want = self.node_index.indices(), nodes.indices()
-        pos = np.searchsorted(have, want)
-        covered = pos < len(have)
-        covered[covered] = have[pos[covered]] == want[covered]
+        pos, covered = _locate(self.node_index.indices(), nodes.indices())
         if not covered.all():
             u = nodes[int(np.argmin(covered))]
             raise ValueError(f"node {u} is not covered by these correlations")

@@ -12,8 +12,10 @@ of every submatrix extracted downstream, so the same ``NodeSet`` always
 addresses the same rows.
 
 Graph surgery filters the stored entries, or, where it adds edges,
-rebuilds the rows from sorted edge keys ``i * n + j`` with ``i < j``; that
-assembly works in place and holds about 50 bytes per edge.  The
+rebuilds the rows from edge keys ``i * n + j`` with ``i < j``; that
+assembly works in place and holds about 50 bytes per edge.  Planting a
+subgraph on ``S`` looks its candidate pairs up among the sorted keys
+(``_locate``) instead of splitting every key.  The
 Erdos-Renyi samplers draw the N x N uniforms in consecutive row blocks of
 at most ``_BLOCK_DOUBLES`` values (512 KB), all into one buffer, and emit
 the keys of each block's strict upper triangle that fall below ``p``.  Consecutive ``rng.random`` fills return
@@ -21,6 +23,7 @@ exactly the values of one ``rng.random((n, n))`` call, so graphs and
 generator state are those of the one-shot draw, while the peak allocation
 is one block of uniforms plus the edge list, with no N x N array.
 
+Breadth-first search (``hop_counts``) starts from one node or a node set.
 Unreachable node pairs have distance ``INFINITE`` (a float infinity), never
 a large stand-in integer.
 """
@@ -348,13 +351,21 @@ def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _locate(have: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``want`` in the sorted ``have``, and which of them are there."""
+    pos = np.searchsorted(have, want)
+    found = pos < have.size
+    found[found] = have[pos[found]] == want[found]
+    return pos, found
+
+
 def _replace_inside(keys: np.ndarray, n: int, s: NodeSet, inner: Graph) -> np.ndarray:
-    """Unsorted edge keys, the pairs inside ``s`` swapped for the edges of ``inner``."""
-    i, j = np.divmod(keys, n)
-    inside = _member_mask(s, n)
+    """Sorted ``keys`` without the pairs inside ``s``, in order, then the edges of ``inner``."""
     idx = s.indices()
+    # every ordered pair of s, sorted because idx ascends; only i < j can match
+    pos, found = _locate(keys, np.add.outer(idx * n, idx).ravel())
     pi, pj = np.divmod(_upper_keys(inner), len(s))
-    return np.concatenate([keys[~(inside[i] & inside[j])], idx[pi] * n + idx[pj]])
+    return np.concatenate([np.delete(keys, pos[found]), idx[pi] * n + idx[pj]])
 
 
 def sample_er(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -442,17 +453,20 @@ def inherit(g: Graph, j: int, u: NodeSet) -> Graph:
     )
 
 
-def hop_counts(g: Graph, start: int, cap: float = INFINITE) -> np.ndarray:
-    """BFS hop count from ``start`` to every node, ``INFINITE`` if unreachable.
+def hop_counts(g: Graph, start: int | np.ndarray, cap: float = INFINITE) -> np.ndarray:
+    """BFS hop count from the nearest of ``start`` to every node.
 
+    ``start`` is one node or an array of nodes; repeats are allowed, and an
+    empty set reaches nothing.  Nodes no start reaches are ``INFINITE``.
     ``cap`` stops the search early once all nodes within that many hops
     are known; entries beyond the cap stay ``INFINITE``.
     """
-    if not 0 <= start < g.n:
-        raise ValueError(f"node {start} out of range")
+    frontier = np.atleast_1d(np.asarray(start, dtype=np.intp))
+    bad = frontier[(frontier < 0) | (frontier >= g.n)]
+    if bad.size:
+        raise ValueError(f"node {bad[0]} out of range")
     hops = np.full(g.n, INFINITE)
-    hops[start] = 0.0
-    frontier = np.array([start])
+    hops[frontier] = 0.0
     d = 0
     while d < cap:
         reached = np.zeros(g.n, dtype=bool)

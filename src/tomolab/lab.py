@@ -26,7 +26,6 @@ from .graphs import (
     _member_mask,
     edgeless_graph,
     hop_counts,
-    local_disconnect,
     ring_graph,
     sample_er,
     sample_partial_er,
@@ -444,17 +443,14 @@ class SmallDistanceReport:
     dsmall_frequency: float
 
 
-def _distance_rule(n: int | float, p: float) -> tuple[float, int]:
-    """``omega_N`` and the probing radius ``r_N = floor(log N / (2 omega_N))``."""
-    log_n = math.log(n)
-    c_n = n * p - log_n
-    arg = log_n + c_n
-    if arg <= 1.0:
-        raise ConfigError(f"N p = {arg:.4g} too small: the probing radius is undefined")
-    omega = math.log(arg)
-    if omega <= 0.0:
-        raise ConfigError(f"omega = {omega:.4g} must be positive")
-    return omega, int(math.floor(0.5 * log_n / omega))
+def _probing_radius(n: int | float, log_np: float) -> int:
+    """The probing radius ``r_N = floor(log N / (2 log N p))``, at least 1."""
+    if log_np <= 0.0:
+        raise ConfigError(f"N p must exceed 1 at N={n} (log N p = {log_np:.4g})")
+    r_n = int(math.floor(0.5 * math.log(n) / log_np))
+    if r_n < 1:
+        raise ConfigError(f"probing radius r_N = {r_n} < 1 at N={n}")
+    return r_n
 
 
 def check_small_distance_rarity(
@@ -470,56 +466,41 @@ def check_small_distance_rarity(
     ``P[distance(0, 1) <= r]`` for ``r`` in 1..3 against the union-bound
     ceiling ``p (N p)^{r-1} / (1 - 1/(N p))``.  Part two plants an
     edgeless observable subgraph of ``s_size`` nodes, and counts how often
-    some unobserved neighbor of node 0 sits within ``r_N`` hops (in the
-    observably-cut graph) of an unobserved second-order neighbor of
-    node 1; this is the event that lets truncation errors survive
-    thresholding.
+    some unobserved neighbor of node 0 sits within ``r_N`` hops of an
+    unobserved second-order neighbor of node 1; this is the event that
+    lets truncation errors survive thresholding.  The hops are counted in
+    the graph with the edges inside the observable set cut, which is the
+    sampled graph itself, because the plant has no edges.  One breadth-first
+    search from all of node 0's unobserved neighbors at once finds the
+    nearest of them for every node.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0.0 < p < 1.0:
         raise ValueError(f"edge probability must be in (0, 1), got {p}")
     rng = np.random.default_rng(derive_seed(base_seed, 11))
-    hits = {1: 0, 2: 0, 3: 0}
-    for _ in range(trials):
-        g = sample_er(n, p, rng)
-        d = hop_counts(g, 0, cap=3)[1]
-        for r in hits:
-            if d <= r:
-                hits[r] += 1
+    d = np.array([hop_counts(sample_er(n, p, rng), 0, cap=3)[1] for _ in range(trials)])
     np_prod = n * p
     rows = []
     for r in (1, 2, 3):
-        emp = hits[r] / trials
+        emp = int(np.count_nonzero(d <= r)) / trials
         bound = p * np_prod ** (r - 1) / (1.0 - 1.0 / np_prod)
         sigma = math.sqrt(emp * (1.0 - emp) / trials)
         rows.append(RarityRow(r, emp, bound, sigma))
 
-    omega, r_n = _distance_rule(n, p)
-    if r_n < 1:
-        raise ConfigError(f"probing radius r_N = {r_n} < 1 at N={n}")
+    r_n = _probing_radius(n, math.log(np_prod))
     obs = NodeSet(tuple(range(s_size)))
     spec = PartialErSpec(n, p, obs, edgeless_graph(s_size))
     rng2 = np.random.default_rng(derive_seed(base_seed, 22))
-    obs_mask = _member_mask(obs, n)
+    unobserved = ~_member_mask(obs, n)
     occurs = 0
     for _ in range(trials):
         g = sample_partial_er(spec, rng2)
-        near_i = np.zeros(n, dtype=bool)
-        near_i[g.indices[g.indptr[0] : g.indptr[1]]] = True
-        near_i &= ~obs_mask
-        near_j2 = (hop_counts(g, 1, cap=2) <= 2) & ~obs_mask
-        if (near_i & near_j2).any():
-            occurs += 1
-            continue
-        cut = local_disconnect(g, obs, obs)
-        found = False
-        for l_node in np.flatnonzero(near_i):
-            reach = hop_counts(cut, int(l_node), cap=r_n) <= r_n
-            if (reach & near_j2).any():
-                found = True
-                break
-        occurs += found
+        near_i = g.indices[g.indptr[0] : g.indptr[1]]
+        near_j2 = (hop_counts(g, 1, cap=2) <= 2) & unobserved
+        # node 0's unobserved neighbors sit at hop 0, so one in near_j2 counts too
+        reach = hop_counts(g, near_i[unobserved[near_i]], cap=r_n) <= r_n
+        occurs += bool((reach & near_j2).any())
     return SmallDistanceReport(n, p, trials, rows, r_n, occurs / trials)
 
 
@@ -563,15 +544,10 @@ def theory_check(cfg: TheoryCheckConfig) -> list[TheoryRow]:
     alpha = abs(math.log(cfg.rho))
     rows = []
     for n in cfg.n_grid:
-        log_n = math.log(n)
         omega = cfg.c_rule.log_np(n)
-        if omega <= 0.0:
-            raise ConfigError(f"N p must exceed 1 at N={n} (log N p = {omega:.4g})")
-        r_n = int(math.floor(0.5 * log_n / omega))
-        if r_n < 1:
-            raise ConfigError(f"probing radius r_N = {r_n} < 1 at N={n}")
+        r_n = _probing_radius(n, omega)
         log_err = omega - alpha * (r_n + 4)
-        log_dist = (r_n + 3) * (math.log(cfg.s_size) + omega) - log_n
+        log_dist = (r_n + 3) * (math.log(cfg.s_size) + omega) - math.log(n)
         dist = math.exp(log_dist) if log_dist < 700.0 else math.inf
         rows.append(TheoryRow(n, r_n, math.exp(log_err), dist, log_err, log_dist))
     return rows

@@ -9,7 +9,7 @@ per partner patch, so a tie-break policy settles repeat appearances.
 
 The decisions are one ``|S| x |S|`` int8 matrix (``-1`` undecided, ``0``
 disconnected, ``1`` connected) with a running count of decided pairs.  A
-merge finds the union's positions in ``S`` with one ``searchsorted`` and
+merge finds the union's positions in ``S`` with one sorted lookup and
 updates its block of the matrix with array operations, so no Python loop
 runs over pairs; the dict of :class:`PairStatus` values is built only when
 ``status`` is read.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import CorrelationSet, SimConfig, derive_seed, simulate_and_accumulate
 from .errors import ConfigError
-from .graphs import Graph, NodeSet
+from .graphs import Graph, NodeSet, _locate
 from .inference import classify_kmeans2, granger_truncated, symmetrize
 from .weights import CombinationMatrix
 
@@ -153,11 +153,7 @@ class ReconstructionState:
             raise ValueError("decision graph size does not match the union")
         if m < 2:
             return
-        ids = union.indices()
-        members = self.s.indices()
-        pos = np.searchsorted(members, ids)
-        inside = pos < len(members)
-        inside[inside] = members[pos[inside]] == ids[inside]
+        pos, inside = _locate(self.s.indices(), union.indices())
         if not inside.all():
             # the first pair in (p, q) order with an endpoint outside s
             q = max(1, int(np.argmin(inside)))

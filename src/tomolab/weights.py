@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, _compressed, _entry_rows, from_edges, max_degree
+from .graphs import Graph, _compressed, _entry_rows, _from_upper, max_degree
 
 TOL = 1e-12
 
@@ -141,21 +141,10 @@ class CombinationMatrix:
         """
         rows = _entry_rows(self)
         upper = (rows < self.indices) & (self.data > 0.0)
-        return from_edges(self.n, np.column_stack([rows[upper], self.indices[upper]]))
+        return _from_upper(self.n, rows[upper].astype(np.int64) * self.n + self.indices[upper])
 
     def __repr__(self) -> str:
         return f"CombinationMatrix(n={self.n}, rho_bound={self.rho_bound})"
-
-
-def _support(g: Graph):
-    """Row-major coordinates of the graph's CSR entries, loops included.
-
-    Returns ``(rows, cols, loops, deg)``: ``loops`` marks the diagonal
-    positions and ``deg`` counts each row's entries (the self-loop too).
-    """
-    deg = np.diff(g.indptr)
-    rows = np.repeat(np.arange(g.n), deg)
-    return rows, g.indices, rows == g.indices, deg
 
 
 def _on_graph(g: Graph, data: np.ndarray, rho: float) -> CombinationMatrix:
@@ -169,10 +158,10 @@ def laplacian_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
     """Laplacian rule: every edge gets ``rho*lam/d_max``; rows sum to ``rho``."""
     if params.rule is not CombinationRule.LAPLACIAN:
         raise ValueError(f"params carry rule {params.rule.value}, expected laplacian")
-    rows, cols, loops, deg = _support(g)
+    deg = np.diff(g.indptr)
     dmax = int(deg.max())
-    data = np.full(rows.size, params.rho * params.lam / dmax)
-    data[loops] = params.rho * (1.0 - params.lam * (deg - 1) / dmax)
+    data = np.full(g.indices.size, params.rho * params.lam / dmax)
+    data[_entry_rows(g) == g.indices] = params.rho * (1.0 - params.lam * (deg - 1) / dmax)
     return _on_graph(g, data, params.rho)
 
 
@@ -180,8 +169,11 @@ def metropolis_matrix(g: Graph, params: PolicyParams) -> CombinationMatrix:
     """Metropolis rule: edge ``(i, j)`` gets ``rho / max(d_i, d_j)``."""
     if params.rule is not CombinationRule.METROPOLIS:
         raise ValueError(f"params carry rule {params.rule.value}, expected metropolis")
-    rows, cols, loops, deg = _support(g)
-    ratio = 1.0 / np.maximum(deg[rows], deg[cols])
+    deg = np.diff(g.indptr)
+    # intp rows: bincount would copy int32 ones to intp
+    rows = _entry_rows(g).astype(np.intp, copy=False)
+    loops = rows == g.indices
+    ratio = 1.0 / np.maximum(deg[rows], deg[g.indices])
     ratio[loops] = 0.0
     data = params.rho * ratio
     data[loops] = params.rho * (1.0 - np.bincount(rows, weights=ratio, minlength=g.n))

@@ -210,6 +210,32 @@ class TestEstimate:
         assert rc == 2
         assert "--p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["0", "-0.1", "1.5"])
+    def test_p_outside_unit_interval_rejected(self, generated, tmp_path, capsys, p):
+        rc = run(
+            "estimate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-5",
+            "--classifier", "threshold", "--eta", "auto", "--p", p,
+            "--out", str(tmp_path / "est"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--p" in err[0]
+        assert not (tmp_path / "est" / "classification.json").exists()
+
+    def test_auto_eta_uses_the_given_p(self, generated, tmp_path):
+        reports = []
+        for p in ("0.12", "1"):
+            out = tmp_path / p
+            rc = run(
+                "estimate", "--graph", str(generated / "graph.edges"),
+                "--policy", "metropolis", "--rho", "0.8", "--s", "0-5",
+                "--classifier", "threshold", "--eta", "auto", "--p", p, "--out", str(out),
+            )
+            assert rc == 0
+            reports.append(json.loads((out / "classification.json").read_text()))
+        assert reports[0]["pairs"] != reports[1]["pairs"]
+
     def test_rank_deficient_samples_exit_three(self, generated, tmp_path, capsys):
         rc = run(
             "estimate", "--graph", str(generated / "graph.edges"),

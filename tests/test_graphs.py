@@ -28,9 +28,16 @@ from tomolab import (
     save_edge_list,
     subgraph,
 )
-from tomolab.graphs import _BLOCK_DOUBLES, _er_edges, _from_upper, hop_counts
+from tomolab.graphs import (
+    _BLOCK_DOUBLES,
+    _er_edges,
+    _from_upper,
+    _replace_inside,
+    _upper_keys,
+    hop_counts,
+)
 
-from conftest import traced_peak
+from conftest import same_bits, traced_peak
 
 
 def one_shot_er(n, p, rng):
@@ -668,3 +675,82 @@ class TestSparseRows:
             got = s.complement(n).members
             assert got == want
             assert all(type(i) is int for i in got)
+
+
+def divmod_replace_inside(keys, n, s, inner):
+    """Oracle: split every key to find the pairs inside ``s``."""
+    i, j = np.divmod(keys, n)
+    inside = np.zeros(n, dtype=bool)
+    inside[s.indices()] = True
+    idx = s.indices()
+    pi, pj = np.divmod(_upper_keys(inner), len(s))
+    return np.concatenate([keys[~(inside[i] & inside[j])], idx[pi] * n + idx[pj]])
+
+
+def sorted_random_keys(n, m, rng):
+    """About ``m`` distinct sorted upper keys on ``n`` nodes, drawn without the N^2 sampler."""
+    a, b = rng.integers(0, n, size=(2, m))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return np.unique(lo[lo < hi] * n + hi[lo < hi])
+
+
+class TestReplaceInside:
+    @pytest.mark.parametrize("k", [1, 2, 10, 60])
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.5, 1.0])
+    def test_matches_divmod_filter(self, k, p):
+        rng = np.random.default_rng(1000 * k + int(100 * p))
+        for _ in range(3):
+            n = int(rng.integers(k, 150))
+            s = NodeSet.of(rng.choice(n, size=k, replace=False))
+            inner = sample_er(k, float(rng.random()), rng)
+            keys = _er_edges(n, p, rng)
+            assert same_bits(
+                _replace_inside(keys, n, s, inner), divmod_replace_inside(keys, n, s, inner)
+            )
+            outer = sample_er(n, p, rng)
+            want = _from_upper(n, divmod_replace_inside(_upper_keys(outer), n, s, inner))
+            assert embed(inner, outer, s) == want
+
+    def test_bytes_per_edge(self):
+        # one copy of the kept keys and the result: 16 bytes per edge, where
+        # splitting every key into two int64 arrays took 32
+        n = 30_000
+        p = (np.log(n) + np.log(np.log(n))) / n
+        rng = np.random.default_rng(0)
+        keys = sorted_random_keys(n, int(p * n * (n - 1) / 2), rng)
+        s = NodeSet(tuple(range(10)))
+        inner = ring_graph(10)
+        peak = traced_peak(lambda: _replace_inside(keys, n, s, inner))
+        assert peak <= 20 * keys.size
+
+
+class TestMultiSourceHops:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_minimum_of_single_source_runs(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 80))
+        g = sample_er(n, float(rng.choice([0.02, 0.05, 0.2])), rng)
+        for size in (1, 2, 5):
+            starts = rng.integers(0, n, size=size)  # repeats allowed
+            for cap in (1, 2, 3, INFINITE):
+                want = np.minimum.reduce([hop_counts(g, int(i), cap) for i in starts])
+                assert same_bits(hop_counts(g, starts, cap), want)
+
+    def test_duplicate_starts(self):
+        g = ring_graph(9)
+        assert same_bits(hop_counts(g, [3, 3, 3], 2), hop_counts(g, 3, 2))
+
+    def test_empty_start_set_reaches_nothing(self):
+        g = complete_graph(5)
+        for cap in (1, INFINITE):
+            assert np.isinf(hop_counts(g, np.array([], dtype=int), cap)).all()
+        assert np.isinf(hop_counts(g, [])).all()
+
+    def test_out_of_range_start_is_named(self):
+        g = ring_graph(6)
+        with pytest.raises(ValueError, match="node 9 out of range"):
+            hop_counts(g, [0, 9, 2])
+        with pytest.raises(ValueError, match="node -1 out of range"):
+            hop_counts(g, np.array([1, -1]))
+        with pytest.raises(ValueError, match="node 6 out of range"):
+            hop_counts(g, 6)

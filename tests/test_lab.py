@@ -426,6 +426,39 @@ class TestSmallDistanceRarity:
         assert abs(emp[0] - 0.1) < 0.06
 
 
+class TestProbingRadius:
+    @pytest.mark.parametrize("n", [200, 500, 2000, 10_000])
+    @pytest.mark.parametrize("rule", [CRule.loglog(), CRule.multiple(1.5)])
+    def test_rarity_and_theory_check_agree(self, n, rule):
+        rep = check_small_distance_rarity(n, rule.p_for(n), 10, trials=1)
+        assert rep.r_n == theory_check(TheoryCheckConfig(0.8, (n,), rule))[0].r_n
+
+    @pytest.mark.parametrize("n, r_n", [(1000, 3), (2000, 2)])
+    def test_agree_beyond_radius_one(self, n, r_n):
+        rule = CRule.explicit(0.003)
+        rep = check_small_distance_rarity(n, 0.003, 10, trials=1)
+        assert rep.r_n == theory_check(TheoryCheckConfig(0.8, (n,), rule))[0].r_n == r_n
+
+    def test_sparse_graph_rejected_alike(self):
+        # N p = 0.6: no probing radius exists
+        with pytest.raises(ConfigError, match="exceed 1"):
+            check_small_distance_rarity(200, 0.003, 10, trials=1)
+        with pytest.raises(ConfigError, match="exceed 1"):
+            theory_check(TheoryCheckConfig(0.8, (200,), CRule.explicit(0.003)))
+
+    def test_small_run_keeps_its_values(self):
+        # values of the per-neighbor search that one multi-source search replaced
+        rep = check_small_distance_rarity(200, CRule.loglog().p_for(200), 10, trials=300)
+        assert rep.r_n == 1
+        assert rep.dsmall_frequency == 0.9933333333333333
+        assert [(r.r, r.empirical, r.bound, r.sigma) for r in rep.rows] == [
+            (1, 0.03666666666666667, 0.04066665697033278, 0.010850840554571832),
+            (2, 0.27666666666666667, 0.2832720032448886, 0.02582777718027771),
+            (3, 0.82, 1.9731896792232329, 0.02218107301281884),
+        ]
+        assert all(type(r.empirical) is float for r in rep.rows)
+
+
 class TestTheoryCheck:
     def test_validation(self):
         with pytest.raises(ConfigError, match="rho"):
