@@ -15,13 +15,21 @@ Graph surgery filters the stored entries, or, where it adds edges,
 rebuilds the rows from edge keys ``i * n + j`` with ``i < j``; that
 assembly works in place and holds about 50 bytes per edge.  Planting a
 subgraph on ``S`` looks its candidate pairs up among the sorted keys
-(``_locate``) instead of splitting every key.  The
-Erdos-Renyi samplers draw the N x N uniforms in consecutive row blocks of
-at most ``_BLOCK_DOUBLES`` values (512 KB), all into one buffer, and emit
-the keys of each block's strict upper triangle that fall below ``p``.  Consecutive ``rng.random`` fills return
-exactly the values of one ``rng.random((n, n))`` call, so graphs and
-generator state are those of the one-shot draw, while the peak allocation
-is one block of uniforms plus the edge list, with no N x N array.
+(``_locate``) instead of splitting every key.
+
+An Erdos-Renyi draw on ``n`` nodes reads ``n * n`` uniforms of the
+generator's stream, and pair ``(i, j)``, ``i < j``, is an edge when uniform
+``i * n + j`` falls below ``p``.  Two readers share that layout.  The
+samplers (``_er_edges``) draw the uniforms in consecutive row blocks of at
+most ``_BLOCK_DOUBLES`` values (512 KB), all into one buffer, and emit the
+keys of each block's strict upper triangle that fall below ``p``.
+Consecutive ``rng.random`` fills return exactly the values of one
+``rng.random((n, n))`` call, so graphs and generator state are those of the
+one-shot draw, while the peak allocation is one block of uniforms plus the
+edge list, with no N x N array.  ``_er_hops_0_1`` finds the distance from
+node 0 to node 1, up to 3 hops, without the graph: it draws rows 0 and 1,
+jumps the generator to the few pairs between their neighbors, and jumps
+to the end of the draw.
 
 Breadth-first search (``hop_counts``) starts from one node or a node set.
 Unreachable node pairs have distance ``INFINITE`` (a float infinity), never
@@ -47,6 +55,9 @@ INFINITE = float("inf")
 # two samplers on two threads took 1-4% longer than with 2 MB blocks, and
 # 10-13% longer with blocks of half this size.
 _BLOCK_DOUBLES = 1 << 16
+
+# Key arrays of consecutive blocks that ``_er_edges`` joins into one.
+_MERGED_BLOCKS = 64
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -335,7 +346,9 @@ def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     # upper[a, c]: node i0 + 1 + c lies right of node i0 + a, the diagonal
     # entry of the block's row a
     upper = ~np.tri(rows, rows - 1, -1, dtype=bool)
-    parts = []
+    # above N = _BLOCK_DOUBLES / 2 every block is one row: merging each run of
+    # _MERGED_BLOCKS key arrays keeps about n / _MERGED_BLOCKS arrays alive
+    parts, pending = [], []
     for i0 in range(0, n, rows):
         r, w = min(rows, n - i0), n - i0 - 1
         rng.random(out=block[:r])
@@ -347,8 +360,47 @@ def _er_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
         at = np.flatnonzero(hit)
         # flat position a * w + c holds the key (i0 + a) * n + i0 + 1 + c
         at += at // w * (i0 + 1) + (i0 * (n + 1) + 1)
-        parts.append(at)
-    return np.concatenate(parts)
+        pending.append(at)
+        if len(pending) == _MERGED_BLOCKS:
+            parts.append(np.concatenate(pending))
+            pending.clear()
+    return np.concatenate(parts + pending)
+
+
+def _er_hops_0_1(n: int, p: float, rng: np.random.Generator) -> float:
+    """``hop_counts(sample_er(n, p, rng), 0, cap=3)[1]`` without drawing the graph.
+
+    The answer depends on rows 0 and 1 of the stream and, when neither an
+    edge nor a common neighbor joins nodes 0 and 1, on the pairs ``(a, b)``
+    between their other neighbors.  No node neighbors both, so the two sets
+    are disjoint and the keys ``min(a, b) * n + max(a, b)`` of those pairs
+    are distinct; the generator
+    jumps to each in increasing order with ``bit_generator.advance`` and
+    draws its one uniform, stopping at the first edge.  It then jumps to the
+    end of the ``n * n`` uniforms, so ``rng`` is left where ``sample_er``
+    leaves it.  The bit generator must support ``advance`` (PCG64 does).
+    """
+    if n < 2:
+        raise ValueError("nodes 0 and 1 need a graph on at least two nodes")
+    rows = rng.random(2 * n) < p
+    near0, near1 = rows[:n], rows[n:]
+    hops, drawn = INFINITE, 2 * n
+    if near0[1]:
+        hops = 1.0
+    elif (near0[2:] & near1[2:]).any():
+        hops = 2.0
+    else:
+        a = np.flatnonzero(near0[2:]) + 2
+        b = np.flatnonzero(near1[2:]) + 2
+        keys = np.minimum.outer(a, b) * n + np.maximum.outer(a, b)
+        for key in np.sort(keys, axis=None).tolist():
+            rng.bit_generator.advance(key - drawn)
+            drawn = key + 1
+            if rng.random() < p:
+                hops = 3.0
+                break
+    rng.bit_generator.advance(n * n - drawn)
+    return hops
 
 
 def _locate(have: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ from .graphs import (
     Graph,
     NodeSet,
     PartialErSpec,
+    _er_hops_0_1,
     _member_mask,
     edgeless_graph,
     hop_counts,
@@ -462,9 +463,13 @@ def check_small_distance_rarity(
 ) -> SmallDistanceReport:
     """Monte Carlo rarity of short paths between fixed nodes.
 
-    Part one samples pure Erdos-Renyi graphs and estimates
-    ``P[distance(0, 1) <= r]`` for ``r`` in 1..3 against the union-bound
-    ceiling ``p (N p)^{r-1} / (1 - 1/(N p))``.  Part two plants an
+    Part one estimates ``P[distance(0, 1) <= r]`` in pure Erdos-Renyi
+    graphs for ``r`` in 1..3 against the union-bound ceiling
+    ``p (N p)^{r-1} / (1 - 1/(N p))``.  It builds no graph: each trial
+    reads rows 0 and 1 of a ``sample_er`` draw's stream and then only the
+    about ``(N p)^2`` pairs between the neighbors of nodes 0 and 1, so it
+    costs ``O(N + (N p)^2)`` instead of ``N^2`` uniforms, with the distances
+    and generator states of the full draw.  Part two plants an
     edgeless observable subgraph of ``s_size`` nodes, and counts how often
     some unobserved neighbor of node 0 sits within ``r_N`` hops of an
     unobserved second-order neighbor of node 1; this is the event that
@@ -472,15 +477,22 @@ def check_small_distance_rarity(
     the graph with the edges inside the observable set cut, which is the
     sampled graph itself, because the plant has no edges.  One breadth-first
     search from all of node 0's unobserved neighbors at once finds the
-    nearest of them for every node.
+    nearest of them for every node; it needs the whole graph.
+
+    The configuration is checked before any draw: ``ConfigError`` when
+    ``N p <= 1`` or ``r_N < 1``, ``ValueError`` for a bad trial count,
+    edge probability or observable size.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0.0 < p < 1.0:
         raise ValueError(f"edge probability must be in (0, 1), got {p}")
-    rng = np.random.default_rng(derive_seed(base_seed, 11))
-    d = np.array([hop_counts(sample_er(n, p, rng), 0, cap=3)[1] for _ in range(trials)])
     np_prod = n * p
+    r_n = _probing_radius(n, math.log(np_prod))
+    obs = NodeSet(tuple(range(s_size)))
+    spec = PartialErSpec(n, p, obs, edgeless_graph(s_size))
+    rng = np.random.default_rng(derive_seed(base_seed, 11))
+    d = np.array([_er_hops_0_1(n, p, rng) for _ in range(trials)])
     rows = []
     for r in (1, 2, 3):
         emp = int(np.count_nonzero(d <= r)) / trials
@@ -488,9 +500,6 @@ def check_small_distance_rarity(
         sigma = math.sqrt(emp * (1.0 - emp) / trials)
         rows.append(RarityRow(r, emp, bound, sigma))
 
-    r_n = _probing_radius(n, math.log(np_prod))
-    obs = NodeSet(tuple(range(s_size)))
-    spec = PartialErSpec(n, p, obs, edgeless_graph(s_size))
     rng2 = np.random.default_rng(derive_seed(base_seed, 22))
     unobserved = ~_member_mask(obs, n)
     occurs = 0

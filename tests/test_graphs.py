@@ -28,9 +28,11 @@ from tomolab import (
     save_edge_list,
     subgraph,
 )
+from tomolab import graphs
 from tomolab.graphs import (
     _BLOCK_DOUBLES,
     _er_edges,
+    _er_hops_0_1,
     _from_upper,
     _replace_inside,
     _upper_keys,
@@ -299,6 +301,23 @@ class TestSampling:
         assert g == one_shot_er(n, p, oracle_rng)
         assert rng.random() == oracle_rng.random()
 
+    def test_one_row_blocks_keep_keys_and_merge_their_arrays(self, monkeypatch):
+        # above N = _BLOCK_DOUBLES / 2 each block is one row; without merging,
+        # one key array per row took 147 bytes per edge here
+        n, p = 2000, 0.002
+        want_rng = np.random.default_rng(5)
+        want = _er_edges(n, p, want_rng)
+        monkeypatch.setattr(graphs, "_BLOCK_DOUBLES", 256)
+        assert _BLOCK_DOUBLES // n > 1 and graphs._BLOCK_DOUBLES // n == 0
+        rng = np.random.default_rng(5)
+        got = []
+        peak = traced_peak(lambda: got.append(_er_edges(n, p, rng)))
+        assert same_bits(got[0], want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        # one row of uniforms and its mask, then the merged keys and their
+        # final concatenation: 16 bytes per edge and the pending arrays
+        assert peak <= 9 * n + 32 * want.size
+
     def test_partial_er_peak_memory(self):
         # one block of _BLOCK_DOUBLES uniforms (8 bytes each) and its boolean
         # mask (1 byte each), then the edge keys and their in-place assembly
@@ -325,6 +344,30 @@ class TestSampling:
             PartialErSpec(10, 0.5, NodeSet((0, 1)), edgeless_graph(3))
         with pytest.raises(ValueError, match="out of range"):
             PartialErSpec(4, 0.5, NodeSet((0, 4)), edgeless_graph(2))
+
+
+class TestErHopsFromStream:
+    """``_er_hops_0_1`` against the graph it avoids drawing."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 60, 500])
+    @pytest.mark.parametrize("p", [1e-4, 0.02, 0.5, 0.95])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_full_draw_trial_after_trial(self, n, p, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100):
+            hops = _er_hops_0_1(n, p, rng)
+            assert hops == hop_counts(sample_er(n, p, oracle_rng), 0, cap=3)[1]
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_every_outcome_occurs(self):
+        # n=500 at p=0.02 reaches 1, 2, 3 and beyond within 100 trials
+        rng = np.random.default_rng(0)
+        seen = {_er_hops_0_1(500, 0.02, rng) for _ in range(100)}
+        assert seen == {1.0, 2.0, 3.0, INFINITE}
+
+    def test_needs_two_nodes(self):
+        with pytest.raises(ValueError, match="two nodes"):
+            _er_hops_0_1(1, 0.5, np.random.default_rng(0))
 
 
 class TestDistances:

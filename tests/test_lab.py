@@ -25,6 +25,7 @@ from tomolab import (
     complete_graph,
     derive_seed,
     edgeless_graph,
+    lab,
     patch_catch_experiment,
     recovery_probability_experiment,
     ring_graph,
@@ -402,6 +403,24 @@ class TestSmallDistanceRarity:
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             check_small_distance_rarity(60, 1.0, 6, trials=10)
 
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a rejected configuration sampled")
+
+        monkeypatch.setattr(lab, "_er_hops_0_1", draw)
+        monkeypatch.setattr(lab, "sample_partial_er", draw)
+
+    # N = 1 has no pair (0, 1), and N p = 1 zeroes the bound's denominator
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (2, 0.5)])
+    def test_no_probing_radius_rejected_before_sampling(self, n, p, no_sampling):
+        with pytest.raises(ConfigError, match="exceed 1"):
+            check_small_distance_rarity(n, p, 1, trials=10)
+
+    def test_bad_observable_size_rejected_before_sampling(self, no_sampling):
+        with pytest.raises(ValueError, match="out of range"):
+            check_small_distance_rarity(60, 0.1, 61, trials=10)
+
     def test_report_structure(self):
         rep = check_small_distance_rarity(60, 0.1, 6, trials=300, base_seed=2)
         assert (rep.n, rep.p, rep.trials) == (60, 0.1, 300)
@@ -457,6 +476,20 @@ class TestProbingRadius:
             (3, 0.82, 1.9731896792232329, 0.02218107301281884),
         ]
         assert all(type(r.empirical) is float for r in rep.rows)
+
+    def test_benchmark_run_keeps_its_values(self):
+        # values of the full N^2 draw that part one read before it jumped
+        # through the stream
+        rep = check_small_distance_rarity(
+            500, CRule.loglog().p_for(500), 10, trials=200, base_seed=0
+        )
+        assert rep.r_n == 1
+        assert rep.dsmall_frequency == 0.99
+        assert [(r.r, r.empirical, r.bound, r.sigma) for r in rep.rows] == [
+            (1, 0.02, 0.018367051485113944, 0.009899494936611665),
+            (2, 0.13, 0.14769884222090704, 0.02378024390118823),
+            (3, 0.62, 1.1877218295531473, 0.03432200460346103),
+        ]
 
 
 class TestTheoryCheck:
