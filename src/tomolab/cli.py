@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import NoiseKind, SimConfig, analytic_correlations, simulate_and_accumulate
-from .errors import ConfigError, NumericError
+from .dynamics import NoiseKind, SimConfig, simulate_and_accumulate
+from .errors import ConfigError, NumericError, UnsupportedMethodError
 from .graphs import NodeSet, PartialErSpec, load_edge_list, sample_partial_er, save_edge_list, subgraph
 from .inference import (
     ClassifierMethod,
@@ -132,13 +132,15 @@ def _embedded(cfg) -> EmbeddedSource:
     return EmbeddedSource(kind, _field(cfg, "q", float, "embedded", None), graph)
 
 
-def _sim(cfg, where: str, default_beta: float) -> SimConfig:
+def _sim(cfg, where: str, default_beta: float, seed: int = 0) -> SimConfig:
+    if "seed" in cfg:
+        raise ConfigError(f"field 'seed' in {where} would go unread; trials derive it from 'seed'")
     return SimConfig(
         beta=_field(cfg, "beta", float, where, default_beta),
         n_max=_field(cfg, "n_max", int, where),
         burn_in=_field(cfg, "burn_in", int, where, 1000),
         noise=_field(cfg, "noise", NoiseKind, where, NoiseKind.GAUSSIAN),
-        seed=_field(cfg, "seed", int, where, 0),
+        seed=seed,
     )
 
 
@@ -154,13 +156,18 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _save_matrix_csv(m: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    with open(_out_path(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _matrix_csv(m: np.ndarray) -> str:
+    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in np.atleast_2d(m))
 
 
 def _cmd_generate(args) -> int:
+    if not args.s and args.s_size < 1:
+        raise ConfigError(f"--s-size must be at least 1, got {args.s_size}")
     rng = np.random.default_rng(args.seed)
     s = parse_node_range(args.s) if args.s else NodeSet(tuple(range(args.s_size)))
     kind, _, arg = args.embedded.partition(":")
@@ -180,23 +187,23 @@ def _cmd_generate(args) -> int:
 
 
 def _network_from_args(args):
-    """``(g, policy, a, s, beta)`` from the ``simulate``/``estimate`` options."""
+    """``(g, policy, a, s, sim)`` from the ``simulate``/``estimate`` options."""
     g = load_edge_list(args.graph)
     policy = _policy({"rule": args.policy, "rho": args.rho, "lambda": args.lam})
     s = parse_node_range(args.s)
     s.check_within(g.n)
     beta = args.beta if args.beta is not None else 1.0 - policy.rho
-    return g, policy, build_matrix(g, policy), s, beta
+    opts = {"n_max": args.n_max, "burn_in": args.burn_in, "noise": args.noise}
+    return g, policy, build_matrix(g, policy), s, _sim(opts, "options", beta, args.seed)
 
 
 def _cmd_simulate(args) -> int:
-    g, _, a, s, beta = _network_from_args(args)
-    cfg = _sim({**vars(args), "beta": beta}, "options", beta)
+    g, _, a, s, cfg = _network_from_args(args)
     path = _out_path(args.out, "trajectory.csv") if args.dump else None
     with open(path, "w", encoding="ascii") if path else contextlib.nullcontext() as dump:
         corr = simulate_and_accumulate(a, cfg, s, dump=dump)
-    _save_matrix_csv(corr.r0, _out_path(args.out, "r0.csv"))
-    _save_matrix_csv(corr.r1, _out_path(args.out, "r1.csv"))
+    _write_text(args.out, "r0.csv", _matrix_csv(corr.r0))
+    _write_text(args.out, "r1.csv", _matrix_csv(corr.r1))
     print(
         f"simulate: N={g.n} |S|={len(s)} n_max={cfg.n_max} "
         f"noise={cfg.noise.value} -> {args.out}"
@@ -205,29 +212,25 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    g, policy, a, s, beta = _network_from_args(args)
+    g, policy, a, s, sim = _network_from_args(args)
     eta = args.eta if args.eta == "auto" else float(args.eta)
     spec = _classifier({"method": args.classifier, "eta": eta})
     if spec.method is ClassifierMethod.THRESHOLD and spec.eta is None and args.p is None:
         raise ConfigError("--eta auto needs --p to derive the threshold")
     if args.p is not None and not 0.0 < args.p <= 1.0:
         raise ConfigError(f"--p must lie in (0, 1], got {args.p}")
-    if args.mode == "analytic":
-        corr = analytic_correlations(a, beta, s)
-    else:
-        corr = simulate_and_accumulate(a, _sim({**vars(args), "beta": beta}, "options", beta), s)
+    spec.check_observed(len(s))
+    corr = CorrelationMode(args.mode, sim).correlations(a, s, sim.beta, sim.seed)
     est = granger_truncated(corr)
     decided = apply_classifier(est, spec.resolve(policy, g.n, args.p))
-    _save_matrix_csv(est, _out_path(args.out, "a_hat.csv"))
+    _write_text(args.out, "a_hat.csv", _matrix_csv(est))
     report = {
         "schema": SCHEMA,
         "n": g.n,
         "observable": list(s),
         "pairs": classification_report(est, decided, s),
     }
-    with open(_out_path(args.out, "classification.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_text(args.out, "classification.json", json.dumps(report, indent=2) + "\n")
     edges = decided.edge_count()
     print(f"estimate: |S|={len(s)} mode={args.mode} decided_edges={edges} -> {args.out}")
     return 0
@@ -253,15 +256,12 @@ def _cmd_recovery_prob(args) -> int:
         base_seed=args.seed if args.seed is not None else _field(cfg, "seed", int, where, 0),
     )
     rows = recovery_probability_experiment(experiment, threads=args.threads)
-    with open(_out_path(args.out, "recovery.csv"), "w", encoding="ascii") as fh:
-        fh.write(recovery_rows_csv(rows))
+    _write_text(args.out, "recovery.csv", recovery_rows_csv(rows))
     summary = {
         "schema": SCHEMA,
         "rows": [{"N" if k == "n" else k: v for k, v in vars(r).items()} for r in rows],
     }
-    with open(_out_path(args.out, "recovery.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_text(args.out, "recovery.json", json.dumps(summary, indent=2) + "\n")
     worst = min(rows, key=lambda r: r.fraction)
     print(
         f"recovery-prob: {len(rows)} sizes, worst fraction "
@@ -287,10 +287,8 @@ def _cmd_patch_catch(args) -> int:
         embedded=_embedded(_field(cfg, "embedded", dict, where, {"kind": "match_p"})),
     )
     results = patch_catch_experiment(experiment, threads=args.threads)
-    with open(_out_path(args.out, "final.csv"), "w", encoding="ascii") as fh:
-        fh.write(patch_catch_rows_csv(results))
-    with open(_out_path(args.out, "trace.csv"), "w", encoding="ascii") as fh:
-        fh.write(patch_catch_trace_csv(results))
+    _write_text(args.out, "final.csv", patch_catch_rows_csv(results))
+    _write_text(args.out, "trace.csv", patch_catch_trace_csv(results))
     zero = sum(1 for r in results if r.final_distance == 0.0)
     mean_final = sum(r.final_distance for r in results) / len(results)
     print(
@@ -316,8 +314,7 @@ def _cmd_theory_check(args) -> int:
     )
     rows = theory_check(cfg)
     if args.out:
-        with open(_out_path(args.out, "theory.csv"), "w", encoding="ascii") as fh:
-            fh.write(theory_rows_csv(rows))
+        _write_text(args.out, "theory.csv", theory_rows_csv(rows))
     header = f"{'N':>12} {'r_N':>4} {'error_tail':>14} {'distance_tail':>16}"
     print(header)
     for r in rows:
@@ -400,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, UnsupportedMethodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

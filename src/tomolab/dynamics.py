@@ -35,7 +35,7 @@ matrices.  The kernel releases the GIL, so trials on separate threads step
 in parallel.  A simulation holds the unrolled arrays (at most
 ``_UNROLL_BYTES`` unless one step alone is larger), the ``(2 B + 1) N``
 buffer doubles (at most ``_BUFFER_BYTES`` unless ``B = T`` needs more) and
-``_CHUNK |S|`` retained samples: ``O(nnz(A) + T N)`` memory.
+``(_CHUNK + 1) |S|`` retained samples: ``O(nnz(A) + T N)`` memory.
 
 Both paths call scipy's compiled CSR kernels: ``csr_matvecs`` on the
 matrix's own arrays, ``csr_matvec`` on the unrolled step.  They are loaded
@@ -341,11 +341,13 @@ def simulate_and_accumulate(
     array is allocated per call.  The sums round exactly as
     ``A @ y + beta * x`` with a scipy CSR ``A``, so the result is bit for
     bit that of the plain loop, and the dense view is never built.  The
-    observable samples are gathered in blocks of ``_CHUNK`` steps, and such
-    a block of ``rows`` steps takes ``ceil(rows / T)`` calls, since ``T``
-    divides ``B``.  Memory: the unrolled arrays (at most ``_UNROLL_BYTES``
-    when ``T > 1``, about ``12 (nnz(A) + N)`` bytes at ``T = 1``), the
-    ``(2 B + 1) N`` buffer doubles, ``_CHUNK |S|`` samples and, for
+    burn-in gathers nothing; the observable samples are gathered in chunks
+    of ``_CHUNK`` steps below the previous sample in one buffer, so each
+    chunk's lag-1 pairs are two overlapping views of it.  A block of
+    ``rows`` steps takes ``ceil(rows / T)`` calls, since ``T`` divides
+    ``B``.  Memory: the unrolled arrays (at most ``_UNROLL_BYTES`` when
+    ``T > 1``, about ``12 (nnz(A) + N)`` bytes at ``T = 1``), the
+    ``(2 B + 1) N`` buffer doubles, ``(_CHUNK + 1) |S|`` samples and, for
     Rademacher noise, a ``B x N`` integer draw.
     """
     s.check_within(a.n)
@@ -396,40 +398,31 @@ def simulate_and_accumulate(
                 np.take(ys[:rows], idx, axis=1, out=out[lo : lo + rows])
             y0[:] = ys[rows - 1]
 
-    done = 0
-    while done < cfg.burn_in:
-        rows = min(_CHUNK, cfg.burn_in - done)
-        advance(rows)
-        done += rows
+    advance(cfg.burn_in)
 
-    k = len(s)
+    def dump_rows(first: int, values: np.ndarray) -> None:
+        for step, row in enumerate(values, first):
+            for node, v in zip(s, row):
+                dump.write(f"{step},{node},{float(v)!r}\n")
+
+    # the chunk fills rows 1 ..; row 0 holds the sample before it, its lag-1 partner
+    buf = np.empty((_CHUNK + 1, len(s)))
+    buf[0] = y0[idx]
+    r0_acc = np.outer(buf[0], buf[0])
+    r1_acc = np.zeros_like(r0_acc)
     if dump is not None:
         dump.write("n,node_id,y\n")
+        dump_rows(0, buf[:1])
 
-    def dump_row(step: int, values: np.ndarray) -> None:
-        for node, v in zip(s, values):
-            dump.write(f"{step},{node},{float(v)!r}\n")
-
-    ys_prev = y0[idx]
-    r0_acc = np.outer(ys_prev, ys_prev)
-    r1_acc = np.zeros((k, k))
-    if dump is not None:
-        dump_row(0, ys_prev)
-
-    done = 0
-    buf = np.empty((_CHUNK, k))
-    while done < cfg.n_max:
+    for done in range(0, cfg.n_max, _CHUNK):
         rows = min(_CHUNK, cfg.n_max - done)
-        advance(rows, buf)
-        cur = buf[:rows]
+        advance(rows, buf[1:])
+        cur = buf[1 : rows + 1]
         r0_acc += cur.T @ cur
-        prev = np.vstack([ys_prev[None, :], cur[:-1]])
-        r1_acc += cur.T @ prev
+        r1_acc += cur.T @ buf[:rows]
         if dump is not None:
-            for t in range(rows):
-                dump_row(done + t + 1, cur[t])
-        ys_prev = cur[-1].copy()
-        done += rows
+            dump_rows(done + 1, cur)
+        buf[0] = buf[rows]
 
     r0 = r0_acc / (cfg.n_max + 1)
     r1 = r1_acc / cfg.n_max

@@ -12,10 +12,12 @@ of every submatrix extracted downstream, so the same ``NodeSet`` always
 addresses the same rows.
 
 Graph surgery filters the stored entries, or, where it adds edges,
-rebuilds the rows from edge keys ``i * n + j`` with ``i < j``; that
-assembly works in place and holds about 50 bytes per edge.  Planting a
-subgraph on ``S`` looks its candidate pairs up among the sorted keys
-(``_locate``) instead of splitting every key.
+rebuilds the rows from edge keys ``i * n + j`` with ``i < j``, as the
+classifiers and the patch merge do too; that assembly (``_from_upper``)
+works in place and holds about 50 bytes per edge.  Only callers outside
+the package hand ``Graph`` a dense matrix.  Planting a subgraph on ``S``
+looks its candidate pairs up among the sorted keys (``_locate``) instead
+of splitting every key.
 
 An Erdos-Renyi draw on ``n`` nodes reads ``n * n`` uniforms of the
 generator's stream, and pair ``(i, j)``, ``i < j``, is an edge when uniform
@@ -65,25 +67,24 @@ _INT32_MAX = np.iinfo(np.int32).max
 class Graph:
     """Immutable symmetric adjacency in CSR form, all self-loops present.
 
-    ``Graph(adjacency)`` takes a dense boolean matrix, which becomes the
-    cached dense view; the builders of this module make graphs from their
-    sorted edges instead.  ``indptr`` and ``indices`` are read-only int32
-    arrays where the sizes fit.
+    ``Graph(adjacency)`` always validates the dense boolean matrix it takes,
+    which becomes the cached dense view; it serves callers outside the
+    library, which builds its graphs from their edge keys.  ``indptr`` and
+    ``indices`` are read-only int32 arrays where the sizes fit.
     """
 
     __slots__ = ("indptr", "indices", "_dense")
 
-    def __init__(self, adjacency, validate: bool = True):
+    def __init__(self, adjacency):
         adj = np.array(adjacency, dtype=bool)
-        if validate:
-            if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-                raise ValueError("adjacency must be a square matrix")
-            if adj.shape[0] == 0:
-                raise ValueError("a graph needs at least one node")
-            if not np.array_equal(adj, adj.T):
-                raise ValueError("adjacency must be symmetric")
-            if not adj.diagonal().all():
-                raise ValueError("every node must carry its self-loop")
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError("adjacency must be a square matrix")
+        if adj.shape[0] == 0:
+            raise ValueError("a graph needs at least one node")
+        if not np.array_equal(adj, adj.T):
+            raise ValueError("adjacency must be symmetric")
+        if not adj.diagonal().all():
+            raise ValueError("every node must carry its self-loop")
         adj.setflags(write=False)
         rows, cols = np.nonzero(adj)
         self.indptr, self.indices = _compressed(np.bincount(rows, minlength=len(adj)), cols)

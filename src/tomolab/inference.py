@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import _chebyshev_solve, _product
 from .errors import NumericError, UnsupportedMethodError
-from .graphs import Graph, NodeSet, edgeless_graph, hop_counts, local_disconnect
+from .graphs import Graph, NodeSet, _from_upper, hop_counts, local_disconnect
 from .weights import CombinationMatrix
 
 logger = logging.getLogger(__name__)
@@ -231,9 +231,8 @@ def classify_threshold(a_hat_s: np.ndarray, eta: float) -> Graph:
     m = np.asarray(a_hat_s, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("estimate must be a square matrix")
-    adj = (m > eta) | (m.T > eta)
-    np.fill_diagonal(adj, True)
-    return Graph(adj, validate=False)
+    above = (m > eta) | (m.T > eta)
+    return _from_upper(m.shape[0], np.flatnonzero(np.triu(above, 1)))
 
 
 def two_means_1d(values) -> tuple[np.ndarray, float]:
@@ -288,20 +287,14 @@ def classify_kmeans2(a_hat_s: np.ndarray) -> Graph:
         raise UnsupportedMethodError(
             "2-means needs at least 3 observed nodes; use classify_threshold instead"
         )
-    sym = symmetrize(m)
     iu = np.triu_indices(k, 1)
-    vals = sym[iu]
-    if np.all(vals == vals[0]):
-        return edgeless_graph(k)
-    upper, _ = two_means_1d(vals)
-    adj = np.zeros((k, k), dtype=bool)
-    adj[iu] = upper
-    adj |= adj.T
-    np.fill_diagonal(adj, True)
-    return Graph(adj, validate=False)
+    vals = symmetrize(m)[iu]
+    upper = np.zeros(vals.size, bool) if np.all(vals == vals[0]) else two_means_1d(vals)[0]
+    return _from_upper(k, np.ravel_multi_index(iu, (k, k))[upper])
 
 
 def apply_classifier(a_hat_s: np.ndarray, classifier: Classifier) -> Graph:
+    """The one route from an estimate to its decided graph; symmetrizing twice is exact."""
     sym = symmetrize(a_hat_s)
     if classifier.method is ClassifierMethod.THRESHOLD:
         return classify_threshold(sym, classifier.eta)

@@ -58,7 +58,8 @@ def resolve_threads(requested: int | None) -> int:
     return wanted
 
 
-def _map_trials(fn, count: int, threads: int) -> list:
+def _map_trials(fn, count: int, threads: int | None) -> list:
+    threads = resolve_threads(threads)
     if threads <= 1:
         return [fn(t) for t in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -223,11 +224,14 @@ class ClassifierSpec:
         if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ConfigError(f"eta must be a finite positive number, got {self.eta}")
 
+    def check_observed(self, s_size: int) -> None:
+        if self.method is ClassifierMethod.KMEANS2 and s_size < 3:
+            raise ConfigError(f"kmeans2 needs at least 3 observed nodes, got {s_size}")
+
     def resolve(self, policy: PolicyParams, n: int, p: float) -> Classifier:
-        if self.method is ClassifierMethod.KMEANS2:
-            return Classifier(ClassifierMethod.KMEANS2)
-        eta = self.eta if self.eta is not None else class_tau(policy) / (n * p)
-        return Classifier(ClassifierMethod.THRESHOLD, eta)
+        if self.method is ClassifierMethod.KMEANS2 or self.eta is not None:
+            return Classifier(self.method, self.eta)
+        return Classifier(self.method, class_tau(policy) / (n * p))
 
 
 @dataclass(frozen=True)
@@ -251,6 +255,12 @@ class CorrelationMode:
     def empirical(cls, sim: SimConfig) -> "CorrelationMode":
         return cls("empirical", sim)
 
+    def correlations(self, a: CombinationMatrix, s: NodeSet, beta: float, seed: int):
+        """Exact correlations at ``beta``, or those of a trajectory of ``sim`` from ``seed``."""
+        if self.kind == "analytic":
+            return analytic_correlations(a, beta, s)
+        return simulate_and_accumulate(a, replace(self.sim, seed=seed), s)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -270,6 +280,7 @@ class ExperimentConfig:
             raise ConfigError("the observable set must be nonempty")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        self.classifier.check_observed(self.s_size)
         for n in self.regime.n_grid:
             if self.s_size > n:
                 raise ConfigError(f"observable size {self.s_size} exceeds N={n}")
@@ -302,15 +313,9 @@ def _recovery_trial(
     cfg: ExperimentConfig, n: int, p: float, n_index: int, trial: int
 ) -> bool:
     s, planted, _, a = _instance(cfg, n, p, derive_seed(cfg.base_seed, n_index, trial))
+    sim_seed = derive_seed(cfg.base_seed, n_index, trial, 1)
     try:
-        if cfg.correlations.kind == "analytic":
-            corr = analytic_correlations(a, 1.0 - cfg.policy.rho, s)
-        else:
-            sim = replace(
-                cfg.correlations.sim,
-                seed=derive_seed(cfg.base_seed, n_index, trial, 1),
-            )
-            corr = simulate_and_accumulate(a, sim, s)
+        corr = cfg.correlations.correlations(a, s, 1.0 - cfg.policy.rho, sim_seed)
         est = granger_truncated(corr)
         decided = apply_classifier(est, cfg.classifier.resolve(cfg.policy, n, p))
     except NumericError as exc:
@@ -328,11 +333,10 @@ def recovery_probability_experiment(
     clipped to ``[0, 1]``.  Trials that fail numerically count as
     unrecovered.
     """
-    workers = resolve_threads(threads)
     rows = []
     for n_index, (n, p) in enumerate(cfg.regime.pairs()):
         outcomes = _map_trials(
-            lambda t: _recovery_trial(cfg, n, p, n_index, t), cfg.trials, workers
+            lambda t: _recovery_trial(cfg, n, p, n_index, t), cfg.trials, threads
         )
         perfect = int(sum(outcomes))
         frac = perfect / cfg.trials
@@ -407,8 +411,7 @@ def _patch_catch_trial(cfg: PatchCatchConfig, trial: int) -> PatchCatchTrial:
 def patch_catch_experiment(
     cfg: PatchCatchConfig, threads: int | None = None
 ) -> list[PatchCatchTrial]:
-    workers = resolve_threads(threads)
-    return _map_trials(lambda t: _patch_catch_trial(cfg, t), cfg.trials, workers)
+    return _map_trials(lambda t: _patch_catch_trial(cfg, t), cfg.trials, threads)
 
 
 def patch_catch_rows_csv(results: list[PatchCatchTrial]) -> str:
@@ -527,6 +530,8 @@ class TheoryCheckConfig:
             raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
         if not self.n_grid:
             raise ConfigError("the N grid must be nonempty")
+        if any(isinstance(n, float) and not math.isfinite(n) for n in self.n_grid):
+            raise ConfigError(f"every N in the grid must be finite, got {self.n_grid}")
         if self.s_size < 1:
             raise ConfigError("the observable size must be at least 1")
 

@@ -26,9 +26,11 @@ import numpy as np
 
 from .dynamics import CorrelationSet, SimConfig, derive_seed, simulate_and_accumulate
 from .errors import ConfigError
-from .graphs import Graph, NodeSet, _locate
-from .inference import classify_kmeans2, granger_truncated, symmetrize
+from .graphs import Graph, NodeSet, _from_upper, _locate
+from .inference import Classifier, ClassifierMethod, apply_classifier, granger_truncated
 from .weights import CombinationMatrix
+
+_KMEANS2 = Classifier(ClassifierMethod.KMEANS2)
 
 
 class TieBreak(Enum):
@@ -174,10 +176,8 @@ class ReconstructionState:
 
     def estimated_graph(self) -> Graph:
         """Current decisions as a graph on ``s``; undecided pairs stay open."""
-        connected = (self._code == 1) & self._upper
-        adj = connected | connected.T
-        np.fill_diagonal(adj, True)
-        return Graph(adj, validate=False)
+        # codes are -1 off the upper triangle: connected flat positions are edge keys
+        return _from_upper(len(self.s), np.flatnonzero(self._code == 1))
 
     def distance(self, truth_upper: np.ndarray) -> float:
         """``graph_distance(truth, self.estimated_graph())``, without the graph.
@@ -241,13 +241,13 @@ def run_patch_catch(
     s_all.check_within(a.n)
     if truth is not None and truth.n != len(s_all):
         raise ValueError("truth graph must cover exactly the observable set")
-    for i in range(plan.patch_count):
-        for j in range(i):
-            if len(plan.patches[i]) + len(plan.patches[j]) < 3:
-                raise ConfigError(
-                    f"patch union ({j}, {i}) has fewer than 3 nodes; "
-                    "the classifier cannot operate"
-                )
+    pairs = [(j, i) for i in range(plan.patch_count) for j in range(i)]
+    for j, i in pairs:
+        if len(plan.patches[i]) + len(plan.patches[j]) < 3:
+            raise ConfigError(
+                f"patch union ({j}, {i}) has fewer than 3 nodes; "
+                "the classifier cannot operate"
+            )
 
     state = ReconstructionState(s_all)
     truth_upper = None if truth is None else np.triu(truth.adjacency, 1)
@@ -255,25 +255,19 @@ def run_patch_catch(
     if shared_trajectory and plan.patch_count > 1:
         shared = simulate_and_accumulate(a, cfg, s_all)
 
-    exp_index = 0
-    for i in range(plan.patch_count):
-        for j in range(i):
-            union = plan.patches[j].union(plan.patches[i])
-            if shared is not None:
-                corr = shared.restrict(union)
-            else:
-                per_seed = derive_seed(cfg.seed, exp_index)
-                corr = simulate_and_accumulate(a, replace(cfg, seed=per_seed), union)
-            est = symmetrize(granger_truncated(corr))
-            decided = classify_kmeans2(est)
-            state.absorb(union, decided, tiebreak)
-            dist = None if truth_upper is None else state.distance(truth_upper)
-            state.experiment_log.append(
-                ExperimentRecord(
-                    exp_index, j, i, union, decided, state.decided_count(), dist
-                )
-            )
-            exp_index += 1
+    for exp_index, (j, i) in enumerate(pairs):
+        union = plan.patches[j].union(plan.patches[i])
+        if shared is not None:
+            corr = shared.restrict(union)
+        else:
+            per_seed = derive_seed(cfg.seed, exp_index)
+            corr = simulate_and_accumulate(a, replace(cfg, seed=per_seed), union)
+        decided = apply_classifier(granger_truncated(corr), _KMEANS2)
+        state.absorb(union, decided, tiebreak)
+        dist = None if truth_upper is None else state.distance(truth_upper)
+        state.experiment_log.append(
+            ExperimentRecord(exp_index, j, i, union, decided, state.decided_count(), dist)
+        )
     return state
 
 

@@ -51,6 +51,8 @@ class PolicyParams:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
+        if self.rule is CombinationRule.METROPOLIS and self.lam != 1.0:
+            raise ValueError(f"lambda (lam) applies to the laplacian rule only, got {self.lam}")
 
 
 class CombinationMatrix:

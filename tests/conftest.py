@@ -73,3 +73,21 @@ def traced_peak(f):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def dense_csr(adj):
+    """``(indptr, indices)`` of a dense boolean adjacency, built from the mask.
+
+    The nonzeros of the ``k x k`` mask in row-major order, as int32 arrays:
+    the oracle for builders that assemble the same graph from its edge keys.
+    """
+    rows, cols = np.nonzero(np.asarray(adj, dtype=bool))
+    indptr = np.zeros(len(adj) + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=len(adj)))
+    return indptr, cols.astype(np.int32)
+
+
+def same_csr(g, adj):
+    """``g`` stores exactly the arrays that :func:`dense_csr` builds from ``adj``."""
+    indptr, indices = dense_csr(adj)
+    return same_bits(g.indptr, indptr) and same_bits(g.indices, indices)

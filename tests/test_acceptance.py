@@ -255,6 +255,7 @@ def test_09_empirical_estimates_converge_with_sample_size(capsys):
     )
 
 
+@pytest.mark.slow
 def test_10_patch_campaigns_reconstruct_the_observable_graph(capsys):
     policy = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
     sim = SimConfig(beta=0.2, n_max=100000, burn_in=1000, seed=0)

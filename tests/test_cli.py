@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from tomolab import (
     NodeSet,
     PolicyParams,
     SimConfig,
+    UnsupportedMethodError,
     build_matrix,
     experiment_log_csv,
     load_edge_list,
@@ -22,6 +24,7 @@ from tomolab import (
     save_edge_list,
     subgraph,
 )
+from tomolab import cli
 from tomolab.cli import main, parse_node_range
 
 
@@ -114,6 +117,17 @@ class TestGenerate:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_empty_observable_size_rejected(self, tmp_path, capsys, size):
+        rc = run(
+            "generate", "--n", "20", "--p", "0.1", "--s-size", size,
+            "--out", str(tmp_path / "net"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--s-size" in err[0]
+        assert not (tmp_path / "net").exists()
 
 
 @pytest.fixture()
@@ -235,6 +249,37 @@ class TestEstimate:
             assert rc == 0
             reports.append(json.loads((out / "classification.json").read_text()))
         assert reports[0]["pairs"] != reports[1]["pairs"]
+
+    @pytest.mark.parametrize("mode", ["analytic", "empirical"])
+    def test_kmeans2_on_two_nodes_exits_two(self, generated, tmp_path, capsys, mode):
+        rc = run(
+            "estimate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-1", "--mode", mode,
+            "--n-max", "100", "--out", str(tmp_path / "est"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "kmeans2" in lines[0]
+        assert not (tmp_path / "est").exists()
+
+    def test_threshold_on_two_nodes_runs(self, generated, tmp_path):
+        rc = run(
+            "estimate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-1",
+            "--classifier", "threshold", "--eta", "0.05", "--out", str(tmp_path / "est"),
+        )
+        assert rc == 0
+
+    def test_lam_on_metropolis_rejected(self, generated, tmp_path, capsys):
+        rc = run(
+            "estimate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--lam", "0.3", "--s", "0-5",
+            "--out", str(tmp_path / "est"),
+        )
+        assert rc == 2
+        assert "lambda" in capsys.readouterr().err
 
     def test_rank_deficient_samples_exit_three(self, generated, tmp_path, capsys):
         rc = run(
@@ -387,6 +432,14 @@ _MALFORMED = {
         "patch-catch", _with(_PATCH, None, shared_trajectory="false"), "'shared_trajectory'"
     ),
     "noise-unknown": ("patch-catch", _with(_PATCH, "sim", noise="laplace"), "'gaussian'"),
+    # each trial derives its simulation seed, so a nested one would go unread
+    "seed-in-correlations": ("recovery-prob", _with(_RECOVERY, "correlations", seed=7), "'seed'"),
+    "seed-in-sim": ("patch-catch", _with(_PATCH, "sim", seed=7), "'seed'"),
+    # the metropolis weights have no step size to scale
+    "lambda-on-metropolis": (
+        "recovery-prob", _with(_RECOVERY, "policy", **{"lambda": 0.3}), "lambda"
+    ),
+    "kmeans2-on-two-nodes": ("recovery-prob", _with(_RECOVERY, None, s_size=2), "kmeans2"),
 }
 
 
@@ -422,6 +475,12 @@ class TestTheoryCheckCommand:
         assert run("theory-check", "--rho", "1.5") == 2
         assert run("theory-check", "--rho", "0.8", "--grid", "abc") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", ["inf", "nan", "1e400", "1000,-inf"])
+    def test_non_finite_size_named(self, capsys, grid):
+        assert run("theory-check", "--rho", "0.8", "--grid", grid) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
 
     def test_multiple_rule_option(self, capsys):
         # a denser rule needs larger sizes before the radius reaches one
@@ -473,6 +532,33 @@ GOLDEN_LOG = (
     "0,0,1,6,0.13333333333333333\r\n1,0,2,11,0.06666666666666667\r\n"
     "2,1,2,15,0.0\r\n"
 )
+GOLDEN_RECOVERY_JSON = (
+    b'{\n  "schema": 1,\n  "rows": [\n'
+    b'    {\n      "N": 30,\n      "trials": 3,\n      "perfect": 3,\n'
+    b'      "fraction": 1.0,\n      "ci_lo": 1.0,\n      "ci_hi": 1.0\n    },\n'
+    b'    {\n      "N": 60,\n      "trials": 3,\n      "perfect": 2,\n'
+    b'      "fraction": 0.6666666666666666,\n      "ci_lo": 0.13322223379388565,\n'
+    b'      "ci_hi": 1.0\n    }\n  ]\n}\n'
+)
+# the kmeans2 decisions of the analytic estimate in ``test_matrix_files``
+GOLDEN_CLASSIFICATION = (
+    b'{\n  "schema": 1,\n  "n": 12,\n  "observable": [\n    0,\n    1,\n    2\n  ],\n'
+    b'  "pairs": [\n'
+    b'    {\n      "i": 0,\n      "j": 1,\n      "score": 0.15264139376508723,\n'
+    b'      "decision": true\n    },\n'
+    b'    {\n      "i": 0,\n      "j": 2,\n      "score": 0.0003679380652956615,\n'
+    b'      "decision": false\n    },\n'
+    b'    {\n      "i": 1,\n      "j": 2,\n      "score": 0.13877572447882502,\n'
+    b'      "decision": true\n    }\n  ]\n}\n'
+)
+# 601 samples of 3 nodes with Rademacher noise: 46,870 bytes, too many to
+# inline, so the file is pinned by its length, its head and its sha256
+GOLDEN_TRAJECTORY_HEAD = (
+    b"n,node_id,y\n0,0,0.30683348279442074\n0,1,-0.1303055340654231\n"
+    b"0,2,0.06250190726557425\n1,0,-0.008140722264326217\n"
+)
+GOLDEN_TRAJECTORY_SIZE = 46870
+GOLDEN_TRAJECTORY_SHA256 = "4806c13daa06d7d0f237b3d6a062c476f2ce18c8d4651cfdd3a66e4b50a6bcdf"
 
 
 class TestGoldenBytes:
@@ -499,6 +585,7 @@ class TestGoldenBytes:
         assert (tmp_path / "pc" / "final.csv").read_bytes() == GOLDEN_FINAL
         assert (tmp_path / "pc" / "trace.csv").read_bytes() == GOLDEN_TRACE
         assert (tmp_path / "th" / "theory.csv").read_bytes() == GOLDEN_THEORY
+        assert (tmp_path / "rp" / "recovery.json").read_bytes() == GOLDEN_RECOVERY_JSON
 
     def test_matrix_files(self, tmp_path, capsys):
         net = tmp_path / "net"
@@ -517,6 +604,44 @@ class TestGoldenBytes:
         assert (tmp_path / "est" / "a_hat.csv").read_bytes() == GOLDEN_A_HAT
         assert (tmp_path / "sim" / "r0.csv").read_bytes() == GOLDEN_R0
 
+    def test_classification_reports(self, tmp_path, capsys):
+        net = tmp_path / "net"
+        assert run(
+            "generate", "--n", "12", "--p", "0.3", "--s-size", "3", "--seed", "2",
+            "--out", str(net),
+        ) == 0
+        common = ["--graph", str(net / "graph.edges"), "--policy", "metropolis",
+                  "--rho", "0.8", "--s", "0-2"]
+        assert run("estimate", *common, "--out", str(tmp_path / "km")) == 0
+        # tau / (N p) at p = 0.1 lies above every score: no pair is connected
+        assert run(
+            "estimate", *common, "--classifier", "threshold", "--eta", "auto", "--p", "0.1",
+            "--out", str(tmp_path / "th"),
+        ) == 0
+        capsys.readouterr()
+        assert (tmp_path / "km" / "classification.json").read_bytes() == GOLDEN_CLASSIFICATION
+        assert (tmp_path / "th" / "classification.json").read_bytes() == (
+            GOLDEN_CLASSIFICATION.replace(b'"decision": true', b'"decision": false')
+        )
+
+    def test_trajectory_dump_across_a_chunk(self, tmp_path, capsys):
+        # 700 burn-in and 600 retained steps each cross one 512-step chunk
+        net = tmp_path / "net"
+        assert run(
+            "generate", "--n", "12", "--p", "0.3", "--s-size", "3", "--seed", "2",
+            "--out", str(net),
+        ) == 0
+        assert run(
+            "simulate", "--graph", str(net / "graph.edges"), "--policy", "metropolis",
+            "--rho", "0.8", "--s", "0-2", "--n-max", "600", "--burn-in", "700",
+            "--noise", "rademacher", "--seed", "3", "--dump", "--out", str(tmp_path / "sim"),
+        ) == 0
+        capsys.readouterr()
+        body = (tmp_path / "sim" / "trajectory.csv").read_bytes()
+        assert body.startswith(GOLDEN_TRAJECTORY_HEAD)
+        assert len(body) == GOLDEN_TRAJECTORY_SIZE
+        assert hashlib.sha256(body).hexdigest() == GOLDEN_TRAJECTORY_SHA256
+
     def test_experiment_log(self):
         truth = subgraph(ring_graph(12), NodeSet(tuple(range(6))))
         a = build_matrix(ring_graph(12), PolicyParams(CombinationRule.METROPOLIS, 0.8))
@@ -532,6 +657,14 @@ class TestEntryPoint:
     def test_missing_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_unsupported_method_exits_two(self, monkeypatch, capsys):
+        def refuse(args):
+            raise UnsupportedMethodError("no such method here")
+
+        monkeypatch.setattr(cli, "_cmd_theory_check", refuse)
+        assert run("theory-check", "--rho", "0.8") == 2
+        assert capsys.readouterr().err == "error: no such method here\n"
 
     def test_installed_script_runs(self):
         proc = subprocess.run(

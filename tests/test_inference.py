@@ -39,7 +39,7 @@ from tomolab import (
     two_means_1d,
 )
 from tomolab.inference import _solve_estimator
-from conftest import random_observed_network
+from conftest import random_observed_network, same_csr
 
 
 def full_set(a):
@@ -398,6 +398,57 @@ class TestKMeansClassifier:
             est = granger_truncated(analytic_correlations(a, 0.2, s))
             hits += classify_kmeans2(est) == planted
         assert hits >= 16
+
+
+def dense_threshold(m, eta):
+    """The threshold decision as a dense mask: the oracle."""
+    adj = (m > eta) | (m.T > eta)
+    np.fill_diagonal(adj, True)
+    return adj
+
+
+def dense_kmeans2(m):
+    """The 2-means decision as a dense mask: the oracle."""
+    k = len(m)
+    sym = 0.5 * (m + m.T)
+    iu = np.triu_indices(k, 1)
+    vals = sym[iu]
+    adj = np.eye(k, dtype=bool)
+    if not np.all(vals == vals[0]):
+        adj[iu] = two_means_1d(vals)[0]
+        adj |= adj.T
+        np.fill_diagonal(adj, True)
+    return adj
+
+
+class TestClassifiersMatchTheDenseBuild:
+    ETA = 0.25
+
+    def matrices(self, k):
+        rng = np.random.default_rng(k)
+        # entries drawn from a few values, so many sit exactly at ETA
+        ties = rng.choice([0.5 * self.ETA, self.ETA, 2.0 * self.ETA], size=(k, k))
+        return {
+            "uniform": rng.uniform(0.0, 1.0, size=(k, k)),
+            "equal": np.full((k, k), self.ETA),
+            "ties": ties,
+            "ties-symmetric": np.triu(ties) + np.triu(ties, 1).T,
+        }
+
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    def test_threshold(self, k):
+        for name, m in self.matrices(k).items():
+            for eta in (0.5 * self.ETA, self.ETA, 0.9):
+                assert same_csr(classify_threshold(m, eta), dense_threshold(m, eta)), (name, eta)
+
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    def test_kmeans2(self, k):
+        for name, m in self.matrices(k).items():
+            assert same_csr(classify_kmeans2(m), dense_kmeans2(m)), name
+
+    def test_ties_at_eta_stay_disconnected(self):
+        m = np.full((4, 4), self.ETA)
+        assert classify_threshold(m, self.ETA) == edgeless_graph(4)
 
 
 class TestClassifierFrontend:

@@ -15,11 +15,14 @@ from tomolab import (
     EmbeddedSource,
     ExperimentConfig,
     Graph,
+    NodeSet,
     PatchCatchConfig,
     PolicyParams,
     RegimeSpec,
     SimConfig,
     TheoryCheckConfig,
+    analytic_correlations,
+    build_matrix,
     check_small_distance_rarity,
     class_tau,
     complete_graph,
@@ -29,6 +32,7 @@ from tomolab import (
     patch_catch_experiment,
     recovery_probability_experiment,
     ring_graph,
+    simulate_and_accumulate,
     theory_check,
 )
 from tomolab.lab import (
@@ -234,6 +238,21 @@ class TestCorrelationMode:
         with pytest.raises(ConfigError, match="need simulation settings"):
             CorrelationMode("empirical")
 
+    def test_dispatch(self):
+        g = ring_graph(12)
+        a = build_matrix(g, PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
+        s = NodeSet((0, 3, 4, 7))
+        sim = SimConfig(beta=0.3, n_max=700, burn_in=20, seed=1)
+        exact = CorrelationMode.analytic().correlations(a, s, 0.3, 9)
+        want = analytic_correlations(a, 0.3, s)
+        assert exact.analytic and np.array_equal(exact.r0, want.r0)
+        assert np.array_equal(exact.r1, want.r1)
+        # the mode's own seed is replaced by the one handed in
+        drawn = CorrelationMode.empirical(sim).correlations(a, s, 0.5, 9)
+        want = simulate_and_accumulate(a, SimConfig(beta=0.3, n_max=700, burn_in=20, seed=9), s)
+        assert drawn.sample_count == 700 and np.array_equal(drawn.r0, want.r0)
+        assert np.array_equal(drawn.r1, want.r1)
+
 
 def _analytic_config(**overrides):
     base = dict(
@@ -258,6 +277,13 @@ class TestExperimentConfig:
             _analytic_config(trials=0)
         with pytest.raises(ConfigError, match="exceeds N"):
             _analytic_config(s_size=11)
+
+    @pytest.mark.parametrize("s_size", [1, 2])
+    def test_kmeans2_needs_three_observed_nodes(self, s_size):
+        with pytest.raises(ConfigError, match="at least 3 observed nodes"):
+            _analytic_config(s_size=s_size)
+        threshold = ClassifierSpec(ClassifierMethod.THRESHOLD, eta=0.05)
+        assert _analytic_config(s_size=s_size, classifier=threshold).s_size == s_size
 
 
 class TestRecoveryExperiment:
@@ -500,6 +526,14 @@ class TestTheoryCheck:
             TheoryCheckConfig(0.8, (), CRule.loglog())
         with pytest.raises(ConfigError, match="observable size"):
             TheoryCheckConfig(0.8, (1e3,), CRule.loglog(), s_size=0)
+
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+    def test_non_finite_size_rejected(self, n):
+        with pytest.raises(ConfigError, match="finite"):
+            TheoryCheckConfig(0.8, (1e3, n), CRule.loglog())
+
+    def test_integer_size_beyond_any_float_accepted(self):
+        assert TheoryCheckConfig(0.8, (10**400,), CRule.loglog()).n_grid == (10**400,)
 
     def test_degenerate_radius_rejected(self):
         with pytest.raises(ConfigError, match="r_N"):

@@ -32,6 +32,7 @@ from tomolab import (
     subgraph,
     symmetrize,
 )
+from conftest import same_csr
 
 
 class TestPatchPlanning:
@@ -180,6 +181,32 @@ class DictReconstructionState:
 def random_vote(rng, m):
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m) if rng.random() < 0.5]
     return from_edges(m, pairs)
+
+
+class TestEstimatedGraphMatchesTheDenseBuild:
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    def test_random_votes(self, k):
+        rng = np.random.default_rng(k)
+        s = NodeSet(tuple(range(0, 2 * k, 2)))
+        state, oracle = ReconstructionState(s), DictReconstructionState(s)
+        assert same_csr(state.estimated_graph(), oracle.estimated_graph())
+        for _ in range(10):
+            m = int(rng.integers(2, min(k, 8) + 1))
+            union = NodeSet.of(rng.choice(s.members, size=m, replace=False))
+            vote = random_vote(rng, m)
+            state.absorb(union, vote, TieBreak.AND)
+            oracle.absorb(union, vote, TieBreak.AND)
+            assert same_csr(state.estimated_graph(), oracle.estimated_graph())
+
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    @pytest.mark.parametrize("vote", [complete_graph, edgeless_graph])
+    def test_all_pairs_alike(self, k, vote):
+        s = NodeSet(tuple(range(k)))
+        state, oracle = ReconstructionState(s), DictReconstructionState(s)
+        state.absorb(s, vote(k), TieBreak.FIRST)
+        oracle.absorb(s, vote(k), TieBreak.FIRST)
+        assert state.estimated_graph() == vote(k)
+        assert same_csr(state.estimated_graph(), oracle.estimated_graph())
 
 
 class TestMergeStateOracle:

@@ -345,6 +345,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="lam"):
             PolicyParams(CombinationRule.LAPLACIAN, rho=0.5, lam=0.0)
 
+    def test_metropolis_takes_no_lam(self):
+        with pytest.raises(ValueError, match="laplacian rule only"):
+            PolicyParams(CombinationRule.METROPOLIS, rho=0.5, lam=0.3)
+        assert PolicyParams(CombinationRule.METROPOLIS, rho=0.5, lam=1.0).lam == 1.0
+
     def test_rule_mismatch(self):
         g = ring_graph(4)
         with pytest.raises(ValueError, match="expected laplacian"):
