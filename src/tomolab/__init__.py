@@ -67,13 +67,11 @@ from .patchwork import (
     run_patch_catch,
 )
 from .lab import (
-    ClassifierSpec,
     CorrelationMode,
     CRule,
     EmbeddedSource,
     ExperimentConfig,
     PatchCatchConfig,
-    RegimeSpec,
     TheoryCheckConfig,
     check_small_distance_rarity,
     derive_seed,

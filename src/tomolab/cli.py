@@ -21,19 +21,18 @@ from .dynamics import NoiseKind, SimConfig, simulate_and_accumulate
 from .errors import ConfigError, NumericError, UnsupportedMethodError
 from .graphs import NodeSet, PartialErSpec, load_edge_list, sample_partial_er, save_edge_list, subgraph
 from .inference import (
+    Classifier,
     ClassifierMethod,
     apply_classifier,
     classification_report,
     granger_truncated,
 )
 from .lab import (
-    ClassifierSpec,
     CorrelationMode,
     CRule,
     EmbeddedSource,
     ExperimentConfig,
     PatchCatchConfig,
-    RegimeSpec,
     TheoryCheckConfig,
     patch_catch_experiment,
     patch_catch_rows_csv,
@@ -78,30 +77,56 @@ def parse_node_range(text: str) -> NodeSet:
 _REQUIRED = object()
 
 
-def _field(cfg, key: str, kind, where: str, default=_REQUIRED):
-    """``cfg[key]`` checked against ``kind``, or ``default`` when it is absent.
+class _Fields:
+    """One JSON object of a config, each field checked as it is read.
 
-    ``cfg`` must be a JSON object.  An int is taken where a float is
-    wanted, a bool never counts as a number, and an Enum ``kind`` takes one
-    of its values.  A null counts as absent when the default is ``None``.
+    :meth:`done` refuses a key that no read asked for, in this object or
+    in any section read from it, so a misspelt or unused setting stops the
+    run before any draw.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    value = cfg.get(key)
-    if key not in cfg or (value is None and default is None):
-        if default is _REQUIRED:
-            raise ConfigError(f"missing field {key!r} in {where}")
-        return default
-    if isinstance(kind, type) and issubclass(kind, Enum):
-        if value not in [k.value for k in kind]:
-            allowed = ", ".join(repr(k.value) for k in kind)
-            raise ConfigError(f"field {key!r} in {where} must be one of {allowed}")
-        return kind(value)
-    if kind is float and type(value) is int:
-        value = float(value)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"field {key!r} in {where} must be {kind.__name__}")
-    return value
+
+    def __init__(self, cfg, where: str):
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        self.cfg, self.where = cfg, where
+        self._unread = set(cfg)
+        self._sections: list[_Fields] = []
+
+    def get(self, key: str, kind, default=_REQUIRED):
+        """``cfg[key]`` checked against ``kind``, or ``default`` when it is absent.
+
+        An int is taken where a float is wanted, a bool never counts as a
+        number, and an Enum ``kind`` takes one of its values.  A null
+        counts as absent when the default is ``None``.
+        """
+        self._unread.discard(key)
+        value = self.cfg.get(key)
+        if key not in self.cfg or (value is None and default is None):
+            if default is _REQUIRED:
+                raise ConfigError(f"missing field {key!r} in {self.where}")
+            return default
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            if value not in [k.value for k in kind]:
+                allowed = ", ".join(repr(k.value) for k in kind)
+                raise ConfigError(f"field {key!r} in {self.where} must be one of {allowed}")
+            return kind(value)
+        if kind is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"field {key!r} in {self.where} must be {kind.__name__}")
+        return value
+
+    def section(self, key: str, default=_REQUIRED) -> _Fields:
+        """The JSON object under ``key``, checked by this object's :meth:`done`."""
+        sub = _Fields(self.get(key, dict, default), key)
+        self._sections.append(sub)
+        return sub
+
+    def done(self) -> None:
+        if self._unread:
+            raise ConfigError(f"unknown field {min(self._unread)!r} in {self.where}")
+        for sub in self._sections:
+            sub.done()
 
 
 def _load_config(path: str) -> dict:
@@ -114,41 +139,37 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"malformed JSON in {path} (line {exc.lineno}): {exc.msg}") from exc
 
 
-def _c_rule(cfg) -> CRule:
-    return CRule(_field(cfg, "kind", str, "c_rule"), _field(cfg, "value", float, "c_rule", None))
+def _c_rule(f: _Fields) -> CRule:
+    return CRule(f.get("kind", str), f.get("value", float, None))
 
 
-def _policy(cfg) -> PolicyParams:
+def _policy(f: _Fields) -> PolicyParams:
     return PolicyParams(
-        _field(cfg, "rule", CombinationRule, "policy"),
-        _field(cfg, "rho", float, "policy"),
-        _field(cfg, "lambda", float, "policy", 1.0),
+        f.get("rule", CombinationRule), f.get("rho", float), f.get("lambda", float, 1.0)
     )
 
 
-def _embedded(cfg) -> EmbeddedSource:
-    kind = _field(cfg, "kind", str, "embedded")
-    graph = load_edge_list(_field(cfg, "file", str, "embedded")) if kind == "explicit" else None
-    return EmbeddedSource(kind, _field(cfg, "q", float, "embedded", None), graph)
+def _embedded(f: _Fields) -> EmbeddedSource:
+    kind = f.get("kind", str)
+    graph = load_edge_list(f.get("file", str)) if kind == "explicit" else None
+    return EmbeddedSource(kind, f.get("q", float, None), graph)
 
 
-def _sim(cfg, where: str, default_beta: float, seed: int = 0) -> SimConfig:
-    if "seed" in cfg:
-        raise ConfigError(f"field 'seed' in {where} would go unread; trials derive it from 'seed'")
+def _sim(f: _Fields, default_beta: float, seed: int = 0) -> SimConfig:
     return SimConfig(
-        beta=_field(cfg, "beta", float, where, default_beta),
-        n_max=_field(cfg, "n_max", int, where),
-        burn_in=_field(cfg, "burn_in", int, where, 1000),
-        noise=_field(cfg, "noise", NoiseKind, where, NoiseKind.GAUSSIAN),
+        beta=f.get("beta", float, default_beta),
+        n_max=f.get("n_max", int),
+        burn_in=f.get("burn_in", int, 1000),
+        noise=f.get("noise", NoiseKind, NoiseKind.GAUSSIAN),
         seed=seed,
     )
 
 
-def _classifier(cfg) -> ClassifierSpec:
-    """kmeans2, or a threshold whose eta is a number or ``"auto"`` (derived per N)."""
-    method = _field(cfg, "method", ClassifierMethod, "classifier")
-    eta = None if cfg.get("eta") == "auto" else _field(cfg, "eta", float, "classifier", None)
-    return ClassifierSpec(method, eta)
+def _classifier(f: _Fields) -> Classifier:
+    """kmeans2, or a threshold whose eta is a number or ``"auto"`` (unset, derived per N)."""
+    method = f.get("method", ClassifierMethod)
+    eta = f.get("eta", str) if f.cfg.get("eta") == "auto" else f.get("eta", float, None)
+    return Classifier(method, None if eta == "auto" else eta)
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -172,9 +193,10 @@ def _cmd_generate(args) -> int:
     s = parse_node_range(args.s) if args.s else NodeSet(tuple(range(args.s_size)))
     kind, _, arg = args.embedded.partition(":")
     if kind == "file":
-        src = _embedded({"kind": "explicit", "file": arg})
+        src = _embedded(_Fields({"kind": "explicit", "file": arg}, "embedded"))
     else:
-        src = _embedded({"kind": kind.replace("-", "_"), "q": float(arg) if arg else None})
+        q = float(arg) if arg else None
+        src = _embedded(_Fields({"kind": kind.replace("-", "_"), "q": q}, "embedded"))
     planted = src.sample(len(s), args.p, rng)
     g = sample_partial_er(PartialErSpec(args.n, args.p, s, planted), rng)
     save_edge_list(g, _out_path(args.out, "graph.edges"))
@@ -189,12 +211,12 @@ def _cmd_generate(args) -> int:
 def _network_from_args(args):
     """``(g, policy, a, s, sim)`` from the ``simulate``/``estimate`` options."""
     g = load_edge_list(args.graph)
-    policy = _policy({"rule": args.policy, "rho": args.rho, "lambda": args.lam})
+    policy = _policy(_Fields({"rule": args.policy, "rho": args.rho, "lambda": args.lam}, "policy"))
     s = parse_node_range(args.s)
     s.check_within(g.n)
     beta = args.beta if args.beta is not None else 1.0 - policy.rho
     opts = {"n_max": args.n_max, "burn_in": args.burn_in, "noise": args.noise}
-    return g, policy, build_matrix(g, policy), s, _sim(opts, "options", beta, args.seed)
+    return g, policy, build_matrix(g, policy), s, _sim(_Fields(opts, "options"), beta, args.seed)
 
 
 def _cmd_simulate(args) -> int:
@@ -213,16 +235,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g, policy, a, s, sim = _network_from_args(args)
-    eta = args.eta if args.eta == "auto" else float(args.eta)
-    spec = _classifier({"method": args.classifier, "eta": eta})
-    if spec.method is ClassifierMethod.THRESHOLD and spec.eta is None and args.p is None:
-        raise ConfigError("--eta auto needs --p to derive the threshold")
+    eta = None if args.eta == "auto" else float(args.eta)
+    classifier = Classifier(ClassifierMethod(args.classifier), eta)
     if args.p is not None and not 0.0 < args.p <= 1.0:
         raise ConfigError(f"--p must lie in (0, 1], got {args.p}")
-    spec.check_observed(len(s))
+    classifier.check_observed(len(s))
+    rule = classifier.resolve(policy, g.n, args.p)
     corr = CorrelationMode(args.mode, sim).correlations(a, s, sim.beta, sim.seed)
     est = granger_truncated(corr)
-    decided = apply_classifier(est, spec.resolve(policy, g.n, args.p))
+    decided = apply_classifier(est, rule)
     _write_text(args.out, "a_hat.csv", _matrix_csv(est))
     report = {
         "schema": SCHEMA,
@@ -237,24 +258,27 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_recovery_prob(args) -> int:
-    cfg, where = _load_config(args.config), args.config
-    policy = _policy(_field(cfg, "policy", dict, where))
-    n_grid = _field(cfg, "n_grid", list, where)
+    cfg = _Fields(_load_config(args.config), args.config)
+    policy = _policy(cfg.section("policy"))
+    n_grid = cfg.get("n_grid", list)
     if not all(type(n) is int for n in n_grid):
-        raise ConfigError(f"field 'n_grid' in {where} must be a list of int")
-    corr = _field(cfg, "correlations", dict, where)
-    mode = _field(corr, "mode", str, "correlations")
-    sim = _sim(corr, "correlations", 1.0 - policy.rho) if mode == "empirical" else None
+        raise ConfigError(f"field 'n_grid' in {cfg.where} must be a list of int")
+    corr = cfg.section("correlations")
+    mode = corr.get("mode", str)
+    sim = _sim(corr, 1.0 - policy.rho) if mode == "empirical" else None
+    seed = cfg.get("seed", int, 0)
     experiment = ExperimentConfig(
-        regime=RegimeSpec(tuple(n_grid), _c_rule(_field(cfg, "c_rule", dict, where))),
-        s_size=_field(cfg, "s_size", int, where),
-        embedded=_embedded(_field(cfg, "embedded", dict, where, {"kind": "er"})),
+        n_grid=tuple(n_grid),
+        c_rule=_c_rule(cfg.section("c_rule")),
+        s_size=cfg.get("s_size", int),
+        embedded=_embedded(cfg.section("embedded", {"kind": "er"})),
         policy=policy,
-        classifier=_classifier(_field(cfg, "classifier", dict, where, {"method": "kmeans2"})),
+        classifier=_classifier(cfg.section("classifier", {"method": "kmeans2"})),
         correlations=CorrelationMode(mode, sim),
-        trials=_field(cfg, "trials", int, where),
-        base_seed=args.seed if args.seed is not None else _field(cfg, "seed", int, where, 0),
+        trials=cfg.get("trials", int),
+        base_seed=seed if args.seed is None else args.seed,
     )
+    cfg.done()
     rows = recovery_probability_experiment(experiment, threads=args.threads)
     _write_text(args.out, "recovery.csv", recovery_rows_csv(rows))
     summary = {
@@ -271,21 +295,23 @@ def _cmd_recovery_prob(args) -> int:
 
 
 def _cmd_patch_catch(args) -> int:
-    cfg, where = _load_config(args.config), args.config
-    policy = _policy(_field(cfg, "policy", dict, where))
+    cfg = _Fields(_load_config(args.config), args.config)
+    policy = _policy(cfg.section("policy"))
+    seed = cfg.get("seed", int, 0)
     experiment = PatchCatchConfig(
-        n=_field(cfg, "n", int, where),
-        c_rule=_c_rule(_field(cfg, "c_rule", dict, where)),
-        s_size=_field(cfg, "s_size", int, where),
-        probe_limit=_field(cfg, "probe_limit", int, where),
+        n=cfg.get("n", int),
+        c_rule=_c_rule(cfg.section("c_rule")),
+        s_size=cfg.get("s_size", int),
+        probe_limit=cfg.get("probe_limit", int),
         policy=policy,
-        sim=_sim(_field(cfg, "sim", dict, where), "sim", 1.0 - policy.rho),
-        trials=_field(cfg, "trials", int, where),
-        base_seed=args.seed if args.seed is not None else _field(cfg, "seed", int, where, 0),
-        tiebreak=_field(cfg, "tiebreak", TieBreak, where, TieBreak.FIRST),
-        shared_trajectory=_field(cfg, "shared_trajectory", bool, where, True),
-        embedded=_embedded(_field(cfg, "embedded", dict, where, {"kind": "match_p"})),
+        sim=_sim(cfg.section("sim"), 1.0 - policy.rho),
+        trials=cfg.get("trials", int),
+        base_seed=seed if args.seed is None else args.seed,
+        tiebreak=cfg.get("tiebreak", TieBreak, TieBreak.FIRST),
+        shared_trajectory=cfg.get("shared_trajectory", bool, True),
+        embedded=_embedded(cfg.section("embedded", {"kind": "match_p"})),
     )
+    cfg.done()
     results = patch_catch_experiment(experiment, threads=args.threads)
     _write_text(args.out, "final.csv", patch_catch_rows_csv(results))
     _write_text(args.out, "trace.csv", patch_catch_trace_csv(results))

@@ -27,15 +27,16 @@ only, not scipy's second copy.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dynamics import _chebyshev_solve, _product
-from .errors import NumericError, UnsupportedMethodError
+from .errors import ConfigError, NumericError, UnsupportedMethodError
 from .graphs import Graph, NodeSet, _from_upper, hop_counts, local_disconnect
-from .weights import CombinationMatrix
+from .weights import CombinationMatrix, PolicyParams, class_tau
 
 logger = logging.getLogger(__name__)
 
@@ -59,15 +60,33 @@ class ClassifierMethod(Enum):
 
 @dataclass(frozen=True)
 class Classifier:
-    """Connectivity decision rule applied to an estimated matrix."""
+    """Connectivity decision rule: a threshold ``eta``, or the 2-means split.
+
+    A threshold with no ``eta`` is derived per network by :meth:`resolve`;
+    the CLI calls it ``"auto"``.
+    """
 
     method: ClassifierMethod
     eta: float | None = None
 
     def __post_init__(self):
-        if self.method is ClassifierMethod.THRESHOLD:
-            if self.eta is None or not np.isfinite(self.eta) or self.eta <= 0.0:
-                raise ValueError("threshold classification needs a finite eta > 0")
+        if self.eta is not None and self.method is ClassifierMethod.KMEANS2:
+            raise ConfigError("the kmeans2 classifier takes no eta")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ConfigError(f"eta must be a finite positive number, got {self.eta}")
+
+    def check_observed(self, k: int) -> None:
+        """Refuse, before any draw, a 2-means split of fewer than 3 observed nodes."""
+        if self.method is ClassifierMethod.KMEANS2 and k < 3:
+            raise ConfigError(f"kmeans2 needs at least 3 observed nodes, got {k}")
+
+    def resolve(self, policy: PolicyParams, n: int, p: float | None) -> Classifier:
+        """The concrete rule at size ``n``: an unset threshold is ``class_tau / (N p)``."""
+        if self.method is ClassifierMethod.KMEANS2 or self.eta is not None:
+            return self
+        if p is None:
+            raise ConfigError("an unset threshold (--eta auto) needs the edge probability --p")
+        return Classifier(self.method, class_tau(policy) / (n * p))
 
 
 def _solve_estimator(r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
@@ -294,9 +313,14 @@ def classify_kmeans2(a_hat_s: np.ndarray) -> Graph:
 
 
 def apply_classifier(a_hat_s: np.ndarray, classifier: Classifier) -> Graph:
-    """The one route from an estimate to its decided graph; symmetrizing twice is exact."""
+    """The one route from an estimate to its decided graph; symmetrizing twice is exact.
+
+    A threshold must be resolved first: one with no ``eta`` raises ``ValueError``.
+    """
     sym = symmetrize(a_hat_s)
     if classifier.method is ClassifierMethod.THRESHOLD:
+        if classifier.eta is None:
+            raise ValueError("the threshold's eta is unset; resolve the classifier first")
         return classify_threshold(sym, classifier.eta)
     return classify_kmeans2(sym)
 

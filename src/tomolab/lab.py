@@ -1,6 +1,12 @@
 """Experiment drivers: recovery probability sweeps, patch reconstruction
 campaigns, and numeric checks of the sparse-regime theory.
 
+Each driver takes one flat frozen config, checked when it is built and so
+before any draw.  It holds the sizes and the sparsity rule (:class:`CRule`)
+directly, the planted subgraph's :class:`EmbeddedSource`, the
+:class:`CorrelationMode`, and the edge decision as an inference
+``Classifier``, whose unset threshold is resolved at each ``N`` and ``p``.
+
 Every trial derives its own random generator from ``(base_seed, N index,
 trial index)``, so results do not depend on how trials are scheduled
 across worker threads.  The environment variable ``TOMOLAB_THREADS`` caps
@@ -32,14 +38,9 @@ from .graphs import (
     sample_partial_er,
     subgraph,
 )
-from .inference import (
-    Classifier,
-    ClassifierMethod,
-    apply_classifier,
-    granger_truncated,
-)
+from .inference import Classifier, apply_classifier, granger_truncated
 from .patchwork import TieBreak, _csv_text, graph_distance, make_patches, run_patch_catch
-from .weights import CombinationMatrix, PolicyParams, build_matrix, class_tau
+from .weights import CombinationMatrix, PolicyParams, build_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -136,23 +137,6 @@ class CRule:
 
 
 @dataclass(frozen=True)
-class RegimeSpec:
-    """Grid of network sizes with a shared sparsity rule."""
-
-    n_grid: tuple[int, ...]
-    c_rule: CRule
-
-    def __post_init__(self):
-        if not self.n_grid:
-            raise ConfigError("the N grid must be nonempty")
-        for n in self.n_grid:
-            self.c_rule.p_for(n)
-
-    def pairs(self) -> list[tuple[int, float]]:
-        return [(n, self.c_rule.p_for(n)) for n in self.n_grid]
-
-
-@dataclass(frozen=True)
 class EmbeddedSource:
     """Distribution of the observable subgraph planted in each instance.
 
@@ -180,22 +164,6 @@ class EmbeddedSource:
         if self.kind == "explicit" and self.graph is None:
             raise ConfigError("an explicit embedded source needs a graph")
 
-    @classmethod
-    def er(cls, q: float | None = None) -> "EmbeddedSource":
-        return cls("er", q)
-
-    @classmethod
-    def match_p(cls) -> "EmbeddedSource":
-        return cls("match_p")
-
-    @classmethod
-    def ring(cls) -> "EmbeddedSource":
-        return cls("ring")
-
-    @classmethod
-    def explicit(cls, graph: Graph) -> "EmbeddedSource":
-        return cls("explicit", graph=graph)
-
     def sample(self, s_size: int, p: float, rng: np.random.Generator) -> Graph:
         if self.kind == "ring":
             return ring_graph(s_size)
@@ -212,29 +180,6 @@ class EmbeddedSource:
 
 
 @dataclass(frozen=True)
-class ClassifierSpec:
-    """Classifier choice; a missing eta means the threshold is derived per N."""
-
-    method: ClassifierMethod
-    eta: float | None = None
-
-    def __post_init__(self):
-        if self.eta is not None and self.method is ClassifierMethod.KMEANS2:
-            raise ConfigError("the kmeans2 classifier takes no eta")
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ConfigError(f"eta must be a finite positive number, got {self.eta}")
-
-    def check_observed(self, s_size: int) -> None:
-        if self.method is ClassifierMethod.KMEANS2 and s_size < 3:
-            raise ConfigError(f"kmeans2 needs at least 3 observed nodes, got {s_size}")
-
-    def resolve(self, policy: PolicyParams, n: int, p: float) -> Classifier:
-        if self.method is ClassifierMethod.KMEANS2 or self.eta is not None:
-            return Classifier(self.method, self.eta)
-        return Classifier(self.method, class_tau(policy) / (n * p))
-
-
-@dataclass(frozen=True)
 class CorrelationMode:
     """Exact correlations, or empirical ones from a simulated trajectory."""
 
@@ -247,14 +192,6 @@ class CorrelationMode:
         if self.kind == "empirical" and self.sim is None:
             raise ConfigError("empirical correlations need simulation settings")
 
-    @classmethod
-    def analytic(cls) -> "CorrelationMode":
-        return cls("analytic")
-
-    @classmethod
-    def empirical(cls, sim: SimConfig) -> "CorrelationMode":
-        return cls("empirical", sim)
-
     def correlations(self, a: CombinationMatrix, s: NodeSet, beta: float, seed: int):
         """Exact correlations at ``beta``, or those of a trajectory of ``sim`` from ``seed``."""
         if self.kind == "analytic":
@@ -266,22 +203,26 @@ class CorrelationMode:
 class ExperimentConfig:
     """Recovery-probability sweep over a size grid."""
 
-    regime: RegimeSpec
+    n_grid: tuple[int, ...]
+    c_rule: CRule
     s_size: int
     embedded: EmbeddedSource
     policy: PolicyParams
-    classifier: ClassifierSpec
+    classifier: Classifier
     correlations: CorrelationMode
     trials: int
     base_seed: int = 0
 
     def __post_init__(self):
+        if not self.n_grid:
+            raise ConfigError("the N grid must be nonempty")
         if self.s_size < 1:
             raise ConfigError("the observable set must be nonempty")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
         self.classifier.check_observed(self.s_size)
-        for n in self.regime.n_grid:
+        for n in self.n_grid:
+            self.c_rule.p_for(n)
             if self.s_size > n:
                 raise ConfigError(f"observable size {self.s_size} exceeds N={n}")
 
@@ -334,7 +275,8 @@ def recovery_probability_experiment(
     unrecovered.
     """
     rows = []
-    for n_index, (n, p) in enumerate(cfg.regime.pairs()):
+    for n_index, n in enumerate(cfg.n_grid):
+        p = cfg.c_rule.p_for(n)
         outcomes = _map_trials(
             lambda t: _recovery_trial(cfg, n, p, n_index, t), cfg.trials, threads
         )

@@ -105,8 +105,6 @@ class ExperimentRecord:
     index: int
     patch_a: int
     patch_b: int
-    union: NodeSet
-    subgraph: Graph
     pairs_decided: int
     distance: float | None
 
@@ -266,7 +264,7 @@ def run_patch_catch(
         state.absorb(union, decided, tiebreak)
         dist = None if truth_upper is None else state.distance(truth_upper)
         state.experiment_log.append(
-            ExperimentRecord(exp_index, j, i, union, decided, state.decided_count(), dist)
+            ExperimentRecord(exp_index, j, i, state.decided_count(), dist)
         )
     return state
 

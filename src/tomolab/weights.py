@@ -69,7 +69,7 @@ class CombinationMatrix:
 
     __slots__ = ("indptr", "indices", "data", "rho_bound", "_dense")
 
-    def __init__(self, entries, rho_bound: float, validate: bool = True):
+    def __init__(self, entries, rho_bound: float):
         if hasattr(entries, "tocsr"):
             from scipy.sparse import csr_array
 
@@ -84,18 +84,17 @@ class CombinationMatrix:
             rows, cols = np.nonzero(m)
             indptr, indices = _compressed(np.bincount(rows, minlength=len(m)), cols)
             self._store(indptr, indices, m[rows, cols], rho_bound, m)
-        if validate:
-            # m is the dense array or the scipy matrix; both take these checks
-            if m.shape[0] != m.shape[1]:
-                raise ValueError("entries must form a square matrix")
-            if not 0.0 < rho_bound < 1.0:
-                raise ValueError(f"rho_bound must lie in (0, 1), got {rho_bound}")
-            if abs(m - m.T).max() > TOL:
-                raise ValueError("combination matrix must be symmetric")
-            if m.min() < -TOL:
-                raise ValueError("combination matrix entries must be non-negative")
-            if self.row_sums().max() > rho_bound + TOL:
-                raise ValueError(f"row sums must not exceed rho = {rho_bound}")
+        # m is the dense array or the scipy matrix; both take these checks
+        if m.shape[0] != m.shape[1]:
+            raise ValueError("entries must form a square matrix")
+        if not 0.0 < rho_bound < 1.0:
+            raise ValueError(f"rho_bound must lie in (0, 1), got {rho_bound}")
+        if abs(m - m.T).max() > TOL:
+            raise ValueError("combination matrix must be symmetric")
+        if m.min() < -TOL:
+            raise ValueError("combination matrix entries must be non-negative")
+        if self.row_sums().max() > rho_bound + TOL:
+            raise ValueError(f"row sums must not exceed rho = {rho_bound}")
 
     def _store(self, indptr, indices, data, rho_bound: float, dense) -> None:
         """Keep the CSR arrays read-only, both index arrays in one dtype."""

@@ -1,5 +1,5 @@
-"""Shared builders for randomized test instances, a scipy view of the
-weights, a bitwise comparison and a traced memory peak."""
+"""Shared builders for randomized test instances and unchecked weights, a
+scipy view of the weights, a bitwise comparison and a traced memory peak."""
 
 import tracemalloc
 
@@ -7,6 +7,7 @@ import numpy as np
 import scipy.sparse
 
 from tomolab import (
+    CombinationMatrix,
     CombinationRule,
     NodeSet,
     PartialErSpec,
@@ -91,3 +92,17 @@ def same_csr(g, adj):
     """``g`` stores exactly the arrays that :func:`dense_csr` builds from ``adj``."""
     indptr, indices = dense_csr(adj)
     return same_bits(g.indptr, indptr) and same_bits(g.indices, indices)
+
+
+def unchecked_weights(dense, rho):
+    """A ``CombinationMatrix`` storing the nonzeros of ``dense`` unchecked.
+
+    The CSR arrays are filled directly, as the library's weight builders
+    fill theirs, so weights that the constructor refuses (NaN, negative,
+    or off the graph) reach the code under test.
+    """
+    dense = np.asarray(dense, dtype=np.float64)
+    indptr, indices = dense_csr(dense)
+    a = CombinationMatrix.__new__(CombinationMatrix)
+    a._store(indptr, indices, dense[dense != 0], rho, None)
+    return a

@@ -13,8 +13,8 @@ import pytest
 
 from conftest import random_observed_network
 from tomolab import (
+    Classifier,
     ClassifierMethod,
-    ClassifierSpec,
     CombinationRule,
     CorrelationMode,
     CRule,
@@ -24,7 +24,6 @@ from tomolab import (
     PartialErSpec,
     PatchCatchConfig,
     PolicyParams,
-    RegimeSpec,
     SimConfig,
     analytic_correlations,
     build_matrix,
@@ -194,12 +193,13 @@ def test_07_magnified_weights_clear_the_class_floor(capsys):
 
 def test_08_recovery_probability_endpoints(capsys):
     tiny = ExperimentConfig(
-        regime=RegimeSpec((10,), CRule.multiple(2.0)),
+        n_grid=(10,),
+        c_rule=CRule.multiple(2.0),
         s_size=10,
-        embedded=EmbeddedSource.er(),
+        embedded=EmbeddedSource("er"),
         policy=PolicyParams(CombinationRule.METROPOLIS, rho=0.8),
-        classifier=ClassifierSpec(ClassifierMethod.KMEANS2),
-        correlations=CorrelationMode.analytic(),
+        classifier=Classifier(ClassifierMethod.KMEANS2),
+        correlations=CorrelationMode("analytic"),
         trials=100,
         base_seed=8,
     )
@@ -207,12 +207,13 @@ def test_08_recovery_probability_endpoints(capsys):
     fractions = []
     for rule in (CombinationRule.LAPLACIAN, CombinationRule.METROPOLIS):
         cfg = ExperimentConfig(
-            regime=RegimeSpec((200,), CRule.loglog()),
+            n_grid=(200,),
+            c_rule=CRule.loglog(),
             s_size=10,
-            embedded=EmbeddedSource.er(),
+            embedded=EmbeddedSource("er"),
             policy=PolicyParams(rule, rho=0.8, lam=1.0),
-            classifier=ClassifierSpec(ClassifierMethod.KMEANS2),
-            correlations=CorrelationMode.analytic(),
+            classifier=Classifier(ClassifierMethod.KMEANS2),
+            correlations=CorrelationMode("analytic"),
             trials=100,
             base_seed=8,
         )
@@ -333,13 +334,14 @@ def test_11_interval_scan_matches_exhaustive_clustering(capsys):
 
 def test_12_runs_are_deterministic_across_thread_counts(capsys):
     recovery = ExperimentConfig(
-        regime=RegimeSpec((40,), CRule.multiple(3.0)),
+        n_grid=(40,),
+        c_rule=CRule.multiple(3.0),
         s_size=6,
-        embedded=EmbeddedSource.er(),
+        embedded=EmbeddedSource("er"),
         policy=PolicyParams(CombinationRule.METROPOLIS, rho=0.8),
-        classifier=ClassifierSpec(ClassifierMethod.KMEANS2),
-        correlations=CorrelationMode.empirical(
-            SimConfig(beta=0.2, n_max=4000, burn_in=200)
+        classifier=Classifier(ClassifierMethod.KMEANS2),
+        correlations=CorrelationMode(
+            "empirical", SimConfig(beta=0.2, n_max=4000, burn_in=200)
         ),
         trials=8,
         base_seed=12,

@@ -440,6 +440,21 @@ _MALFORMED = {
         "recovery-prob", _with(_RECOVERY, "policy", **{"lambda": 0.3}), "lambda"
     ),
     "kmeans2-on-two-nodes": ("recovery-prob", _with(_RECOVERY, None, s_size=2), "kmeans2"),
+    # a key that no reader reads is refused, not ignored
+    "unknown-top-level": ("recovery-prob", _with(_RECOVERY, None, trails=9), "'trails'"),
+    "unknown-in-correlations": (
+        "recovery-prob", _with(_RECOVERY, "correlations", burnin=7), "'burnin'"
+    ),
+    "unknown-in-sim": ("patch-catch", _with(_PATCH, "sim", burnin=7), "'burnin'"),
+    "tie_break-misspelt": ("patch-catch", _with(_PATCH, None, tie_break="and"), "'tie_break'"),
+    "beta-in-analytic": (
+        "recovery-prob", _with(_RECOVERY, None, correlations={"mode": "analytic", "beta": 0.2}),
+        "'beta'",
+    ),
+    "n_max-in-analytic": (
+        "recovery-prob", _with(_RECOVERY, None, correlations={"mode": "analytic", "n_max": 100}),
+        "'n_max'",
+    ),
 }
 
 

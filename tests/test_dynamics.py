@@ -35,7 +35,7 @@ from tomolab.dynamics import (
     chebyshev_depth,
     unroll_depth,
 )
-from conftest import csr_view, random_observed_network, same_bits, traced_peak
+from conftest import csr_view, random_observed_network, same_bits, traced_peak, unchecked_weights
 
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
 
@@ -262,7 +262,7 @@ class TestAnalytic:
             chebyshev_depth(1.0)
 
     def test_non_finite_weights_raise_numeric_error(self):
-        a = CombinationMatrix(np.array([[np.nan, 0.0], [0.0, 0.1]]), 0.5, validate=False)
+        a = unchecked_weights([[np.nan, 0.0], [0.0, 0.1]], 0.5)
         with pytest.raises(NumericError, match="not finite"):
             analytic_correlations(a, 0.3, full_set(a))
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from tomolab import (
     Classifier,
     ClassifierMethod,
-    CombinationMatrix,
     CombinationRule,
     CorrelationSet,
     NodeSet,
@@ -39,7 +38,7 @@ from tomolab import (
     two_means_1d,
 )
 from tomolab.inference import _solve_estimator
-from conftest import random_observed_network, same_csr
+from conftest import random_observed_network, same_csr, unchecked_weights
 
 
 def full_set(a):
@@ -108,7 +107,7 @@ class TestTruncationError:
     def test_non_finite_weights_raise_numeric_error(self):
         # the NaN sits in the observed block for {0} and reaches the
         # hidden rows of the solve for {1}
-        a = CombinationMatrix(np.array([[np.nan, 0.0], [0.0, 0.1]]), 0.5, validate=False)
+        a = unchecked_weights([[np.nan, 0.0], [0.0, 0.1]], 0.5)
         for nodes in (NodeSet((0,)), NodeSet((1,)), full_set(a)):
             with pytest.raises(NumericError, match="not finite"):
                 error_matrix(a, nodes)
@@ -465,8 +464,9 @@ class TestClassifierFrontend:
         assert apply_classifier(m, cls) == classify_kmeans2(m)
 
     def test_threshold_requires_eta(self):
+        m = np.array([[0.5, 0.25, 0.0], [0.05, 0.5, 0.0], [0.0, 0.0, 0.5]])
         with pytest.raises(ValueError, match="eta"):
-            Classifier(ClassifierMethod.THRESHOLD)
+            apply_classifier(m, Classifier(ClassifierMethod.THRESHOLD))
 
     def test_report_carries_global_ids(self):
         m = np.array([[0.5, 0.3, 0.0], [0.3, 0.5, 0.0], [0.0, 0.0, 0.5]])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from tomolab import (
+    Classifier,
     ClassifierMethod,
-    ClassifierSpec,
     CombinationRule,
     ConfigError,
     CorrelationMode,
@@ -18,7 +18,6 @@ from tomolab import (
     NodeSet,
     PatchCatchConfig,
     PolicyParams,
-    RegimeSpec,
     SimConfig,
     TheoryCheckConfig,
     analytic_correlations,
@@ -128,40 +127,26 @@ class TestSparsityRules:
             CRule("explicit", 1.5)
 
 
-class TestRegimeSpec:
-    def test_pairs_carry_the_rule(self):
-        spec = RegimeSpec((100, 200), CRule.explicit(0.05))
-        assert spec.pairs() == [(100, 0.05), (200, 0.05)]
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigError, match="nonempty"):
-            RegimeSpec((), CRule.loglog())
-
-    def test_every_size_validated_eagerly(self):
-        with pytest.raises(ConfigError, match="at least 2"):
-            RegimeSpec((100, 1), CRule.loglog())
-
-
 class TestEmbeddedSources:
     def test_ring_is_deterministic(self):
         rng = np.random.default_rng(0)
-        g = EmbeddedSource.ring().sample(7, 0.3, rng)
+        g = EmbeddedSource("ring").sample(7, 0.3, rng)
         assert np.array_equal(g.adjacency, ring_graph(7).adjacency)
 
     def test_explicit_returns_the_given_graph(self):
         planted = ring_graph(5)
-        got = EmbeddedSource.explicit(planted).sample(5, 0.3, np.random.default_rng(0))
+        got = EmbeddedSource("explicit", graph=planted).sample(5, 0.3, np.random.default_rng(0))
         assert got is planted
 
     def test_explicit_size_mismatch_rejected(self):
-        src = EmbeddedSource.explicit(ring_graph(5))
+        src = EmbeddedSource("explicit", graph=ring_graph(5))
         with pytest.raises(ConfigError, match="5 nodes, need 6"):
             src.sample(6, 0.3, np.random.default_rng(0))
 
     def test_er_extremes(self):
         rng = np.random.default_rng(0)
-        dense = EmbeddedSource.er(1.0).sample(6, 0.3, rng)
-        sparse = EmbeddedSource.er(0.0).sample(6, 0.3, rng)
+        dense = EmbeddedSource("er", 1.0).sample(6, 0.3, rng)
+        sparse = EmbeddedSource("er", 0.0).sample(6, 0.3, rng)
         assert np.array_equal(dense.adjacency, complete_graph(6).adjacency)
         assert np.array_equal(sparse.adjacency, edgeless_graph(6).adjacency)
 
@@ -169,7 +154,7 @@ class TestEmbeddedSources:
         # the default edge probability at size s is 2 log(s) / s
         s = 40
         rng = np.random.default_rng(11)
-        src = EmbeddedSource.er()
+        src = EmbeddedSource("er")
         hits = total = 0
         iu = np.triu_indices(s, k=1)
         for _ in range(200):
@@ -180,7 +165,7 @@ class TestEmbeddedSources:
 
     def test_match_p_uses_the_ambient_probability(self):
         rng = np.random.default_rng(0)
-        g = EmbeddedSource.match_p().sample(6, 1.0, rng)
+        g = EmbeddedSource("match_p").sample(6, 1.0, rng)
         assert np.array_equal(g.adjacency, complete_graph(6).adjacency)
 
     def test_source_validation(self):
@@ -198,38 +183,43 @@ class TestEmbeddedSources:
             EmbeddedSource(kind, 0.3, graph)
 
 
-class TestClassifierSpec:
+class TestClassifier:
     def test_kmeans_resolution_has_no_threshold(self):
         pol = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
-        c = ClassifierSpec(ClassifierMethod.KMEANS2).resolve(pol, 100, 0.1)
+        c = Classifier(ClassifierMethod.KMEANS2).resolve(pol, 100, 0.1)
         assert c.method is ClassifierMethod.KMEANS2
 
     def test_explicit_threshold_is_kept(self):
         pol = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
-        c = ClassifierSpec(ClassifierMethod.THRESHOLD, eta=0.03).resolve(pol, 100, 0.1)
+        c = Classifier(ClassifierMethod.THRESHOLD, eta=0.03).resolve(pol, 100, 0.1)
         assert c.eta == 0.03
 
     def test_derived_threshold_value(self):
         pol = PolicyParams(CombinationRule.LAPLACIAN, rho=0.8, lam=1.0)
         p = CRule.loglog().p_for(200)
-        c = ClassifierSpec(ClassifierMethod.THRESHOLD).resolve(pol, 200, p)
+        c = Classifier(ClassifierMethod.THRESHOLD).resolve(pol, 200, p)
         assert c.eta == pytest.approx(0.04225035123608308, abs=1e-15)
         assert c.eta == pytest.approx(class_tau(pol) / (200 * p), abs=0.0)
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, math.nan, math.inf])
     def test_bad_threshold_rejected_at_construction(self, eta):
         with pytest.raises(ConfigError, match="finite positive"):
-            ClassifierSpec(ClassifierMethod.THRESHOLD, eta)
+            Classifier(ClassifierMethod.THRESHOLD, eta)
 
     def test_kmeans_takes_no_eta(self):
         with pytest.raises(ConfigError, match="takes no eta"):
-            ClassifierSpec(ClassifierMethod.KMEANS2, 0.05)
+            Classifier(ClassifierMethod.KMEANS2, 0.05)
+
+    def test_unset_threshold_needs_p(self):
+        pol = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
+        with pytest.raises(ConfigError, match="--p"):
+            Classifier(ClassifierMethod.THRESHOLD).resolve(pol, 100, None)
 
 
 class TestCorrelationMode:
     def test_kinds(self):
-        assert CorrelationMode.analytic().kind == "analytic"
-        mode = CorrelationMode.empirical(SimConfig(beta=0.2, n_max=100))
+        assert CorrelationMode("analytic").kind == "analytic"
+        mode = CorrelationMode("empirical", SimConfig(beta=0.2, n_max=100))
         assert mode.sim.n_max == 100
 
     def test_validation(self):
@@ -243,12 +233,12 @@ class TestCorrelationMode:
         a = build_matrix(g, PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
         s = NodeSet((0, 3, 4, 7))
         sim = SimConfig(beta=0.3, n_max=700, burn_in=20, seed=1)
-        exact = CorrelationMode.analytic().correlations(a, s, 0.3, 9)
+        exact = CorrelationMode("analytic").correlations(a, s, 0.3, 9)
         want = analytic_correlations(a, 0.3, s)
         assert exact.analytic and np.array_equal(exact.r0, want.r0)
         assert np.array_equal(exact.r1, want.r1)
         # the mode's own seed is replaced by the one handed in
-        drawn = CorrelationMode.empirical(sim).correlations(a, s, 0.5, 9)
+        drawn = CorrelationMode("empirical", sim).correlations(a, s, 0.5, 9)
         want = simulate_and_accumulate(a, SimConfig(beta=0.3, n_max=700, burn_in=20, seed=9), s)
         assert drawn.sample_count == 700 and np.array_equal(drawn.r0, want.r0)
         assert np.array_equal(drawn.r1, want.r1)
@@ -256,12 +246,13 @@ class TestCorrelationMode:
 
 def _analytic_config(**overrides):
     base = dict(
-        regime=RegimeSpec((10,), CRule.multiple(3.0)),
+        n_grid=(10,),
+        c_rule=CRule.multiple(3.0),
         s_size=10,
-        embedded=EmbeddedSource.match_p(),
+        embedded=EmbeddedSource("match_p"),
         policy=PolicyParams(CombinationRule.METROPOLIS, rho=0.8),
-        classifier=ClassifierSpec(ClassifierMethod.KMEANS2),
-        correlations=CorrelationMode.analytic(),
+        classifier=Classifier(ClassifierMethod.KMEANS2),
+        correlations=CorrelationMode("analytic"),
         trials=30,
         base_seed=5,
     )
@@ -270,6 +261,18 @@ def _analytic_config(**overrides):
 
 
 class TestExperimentConfig:
+    def test_grid_takes_the_rule(self):
+        cfg = _analytic_config(n_grid=(100, 200), c_rule=CRule.explicit(0.05))
+        assert [cfg.c_rule.p_for(n) for n in cfg.n_grid] == [0.05, 0.05]
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ConfigError, match="nonempty"):
+            _analytic_config(n_grid=())
+
+    def test_every_size_validated_eagerly(self):
+        with pytest.raises(ConfigError, match="at least 2"):
+            _analytic_config(n_grid=(100, 1), c_rule=CRule.loglog())
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="nonempty"):
             _analytic_config(s_size=0)
@@ -282,7 +285,7 @@ class TestExperimentConfig:
     def test_kmeans2_needs_three_observed_nodes(self, s_size):
         with pytest.raises(ConfigError, match="at least 3 observed nodes"):
             _analytic_config(s_size=s_size)
-        threshold = ClassifierSpec(ClassifierMethod.THRESHOLD, eta=0.05)
+        threshold = Classifier(ClassifierMethod.THRESHOLD, eta=0.05)
         assert _analytic_config(s_size=s_size, classifier=threshold).s_size == s_size
 
 
@@ -296,9 +299,10 @@ class TestRecoveryExperiment:
 
     def test_interval_brackets_the_fraction(self):
         cfg = _analytic_config(
-            regime=RegimeSpec((40,), CRule.multiple(3.0)),
+            n_grid=(40,),
+            c_rule=CRule.multiple(3.0),
             s_size=6,
-            embedded=EmbeddedSource.er(),
+            embedded=EmbeddedSource("er"),
             trials=12,
         )
         row = recovery_probability_experiment(cfg)[0]
@@ -318,8 +322,9 @@ class TestRecoveryExperiment:
 
         monkeypatch.setattr(Graph, "adjacency", property(spy))
         cfg = _analytic_config(
-            regime=RegimeSpec((2000,), CRule.loglog()),
-            embedded=EmbeddedSource.er(),
+            n_grid=(2000,),
+            c_rule=CRule.loglog(),
+            embedded=EmbeddedSource("er"),
             trials=2,
         )
         recovery_probability_experiment(cfg)
@@ -330,12 +335,11 @@ class TestRecoveryExperiment:
     def test_numeric_failures_count_as_missed(self, caplog):
         # three retained samples cannot produce a rank-6 lag-zero matrix
         cfg = _analytic_config(
-            regime=RegimeSpec((20,), CRule.multiple(3.0)),
+            n_grid=(20,),
+            c_rule=CRule.multiple(3.0),
             s_size=6,
-            embedded=EmbeddedSource.er(),
-            correlations=CorrelationMode.empirical(
-                SimConfig(beta=0.2, n_max=2, burn_in=5)
-            ),
+            embedded=EmbeddedSource("er"),
+            correlations=CorrelationMode("empirical", SimConfig(beta=0.2, n_max=2, burn_in=5)),
             trials=2,
         )
         with caplog.at_level("WARNING", logger="tomolab.lab"):
@@ -354,13 +358,14 @@ class TestRecoveryExperiment:
 
     def test_thread_count_does_not_change_results(self):
         cfg = _analytic_config(
-            regime=RegimeSpec((40,), CRule.multiple(3.0)),
+            n_grid=(40,),
+            c_rule=CRule.multiple(3.0),
             s_size=6,
-            embedded=EmbeddedSource.er(),
-            classifier=ClassifierSpec(ClassifierMethod.THRESHOLD),
+            embedded=EmbeddedSource("er"),
+            classifier=Classifier(ClassifierMethod.THRESHOLD),
             policy=PolicyParams(CombinationRule.LAPLACIAN, rho=0.8, lam=1.0),
-            correlations=CorrelationMode.empirical(
-                SimConfig(beta=0.2, n_max=4000, burn_in=200)
+            correlations=CorrelationMode(
+                "empirical", SimConfig(beta=0.2, n_max=4000, burn_in=200)
             ),
             trials=8,
             base_seed=3,

@@ -20,7 +20,7 @@ from tomolab import (
     metropolis_matrix,
     ring_graph,
 )
-from conftest import csr_view, random_observed_network, same_bits
+from conftest import csr_view, random_observed_network, same_bits, unchecked_weights
 
 LAP = PolicyParams(CombinationRule.LAPLACIAN, rho=0.8)
 MET = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
@@ -332,7 +332,7 @@ class TestEdgeWeightFloorOracle:
                 (i, j), (k, m) = edges[trial % len(edges)], gaps[0]
                 dense[i, j] = dense[j, i] = 0.0
                 dense[k, m] = dense[m, k] = 1e-3 if trial % 4 == 1 else -1e-9
-                a = CombinationMatrix(dense, params.rho, validate=False)
+                a = unchecked_weights(dense, params.rho)
             dmax = max_degree(g)
             for gamma in (1e-6, params.rho / 2, params.rho, 2 * params.rho, dmax / 2):
                 assert check_weight_floor(a, g, gamma) == dense_weight_floor(a, g, gamma)
