@@ -67,13 +67,13 @@ from .patchwork import (
     run_patch_catch,
 )
 from .lab import (
-    CorrelationMode,
     CRule,
     EmbeddedSource,
     ExperimentConfig,
     PatchCatchConfig,
     TheoryCheckConfig,
     check_small_distance_rarity,
+    correlations,
     derive_seed,
     patch_catch_experiment,
     recovery_probability_experiment,

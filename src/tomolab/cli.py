@@ -28,12 +28,12 @@ from .inference import (
     granger_truncated,
 )
 from .lab import (
-    CorrelationMode,
     CRule,
     EmbeddedSource,
     ExperimentConfig,
     PatchCatchConfig,
     TheoryCheckConfig,
+    correlations,
     patch_catch_experiment,
     patch_catch_rows_csv,
     patch_catch_trace_csv,
@@ -72,6 +72,13 @@ def parse_node_range(text: str) -> NodeSet:
     if not ids:
         raise ConfigError(f"no node ids in {text!r}")
     return NodeSet.of(ids)
+
+
+def _option_float(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad number {text!r} for {option}") from exc
 
 
 _REQUIRED = object()
@@ -155,13 +162,12 @@ def _embedded(f: _Fields) -> EmbeddedSource:
     return EmbeddedSource(kind, f.get("q", float, None), graph)
 
 
-def _sim(f: _Fields, default_beta: float, seed: int = 0) -> SimConfig:
+def _sim(f: _Fields, default_beta: float) -> SimConfig:
     return SimConfig(
         beta=f.get("beta", float, default_beta),
         n_max=f.get("n_max", int),
         burn_in=f.get("burn_in", int, 1000),
         noise=f.get("noise", NoiseKind, NoiseKind.GAUSSIAN),
-        seed=seed,
     )
 
 
@@ -195,7 +201,7 @@ def _cmd_generate(args) -> int:
     if kind == "file":
         src = _embedded(_Fields({"kind": "explicit", "file": arg}, "embedded"))
     else:
-        q = float(arg) if arg else None
+        q = _option_float(arg, "--embedded") if arg else None
         src = _embedded(_Fields({"kind": kind.replace("-", "_"), "q": q}, "embedded"))
     planted = src.sample(len(s), args.p, rng)
     g = sample_partial_er(PartialErSpec(args.n, args.p, s, planted), rng)
@@ -216,14 +222,14 @@ def _network_from_args(args):
     s.check_within(g.n)
     beta = args.beta if args.beta is not None else 1.0 - policy.rho
     opts = {"n_max": args.n_max, "burn_in": args.burn_in, "noise": args.noise}
-    return g, policy, build_matrix(g, policy), s, _sim(_Fields(opts, "options"), beta, args.seed)
+    return g, policy, build_matrix(g, policy), s, _sim(_Fields(opts, "options"), beta)
 
 
 def _cmd_simulate(args) -> int:
     g, _, a, s, cfg = _network_from_args(args)
     path = _out_path(args.out, "trajectory.csv") if args.dump else None
     with open(path, "w", encoding="ascii") if path else contextlib.nullcontext() as dump:
-        corr = simulate_and_accumulate(a, cfg, s, dump=dump)
+        corr = simulate_and_accumulate(a, cfg, s, args.seed, dump=dump)
     _write_text(args.out, "r0.csv", _matrix_csv(corr.r0))
     _write_text(args.out, "r1.csv", _matrix_csv(corr.r1))
     print(
@@ -235,13 +241,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     g, policy, a, s, sim = _network_from_args(args)
-    eta = None if args.eta == "auto" else float(args.eta)
+    eta = None if args.eta == "auto" else _option_float(args.eta, "--eta")
     classifier = Classifier(ClassifierMethod(args.classifier), eta)
     if args.p is not None and not 0.0 < args.p <= 1.0:
         raise ConfigError(f"--p must lie in (0, 1], got {args.p}")
     classifier.check_observed(len(s))
     rule = classifier.resolve(policy, g.n, args.p)
-    corr = CorrelationMode(args.mode, sim).correlations(a, s, sim.beta, sim.seed)
+    corr = correlations(a, s, sim.beta, args.seed, sim if args.mode == "empirical" else None)
     est = granger_truncated(corr)
     decided = apply_classifier(est, rule)
     _write_text(args.out, "a_hat.csv", _matrix_csv(est))
@@ -265,6 +271,8 @@ def _cmd_recovery_prob(args) -> int:
         raise ConfigError(f"field 'n_grid' in {cfg.where} must be a list of int")
     corr = cfg.section("correlations")
     mode = corr.get("mode", str)
+    if mode not in ("analytic", "empirical"):
+        raise ConfigError(f"unknown correlation mode {mode!r}")
     sim = _sim(corr, 1.0 - policy.rho) if mode == "empirical" else None
     seed = cfg.get("seed", int, 0)
     experiment = ExperimentConfig(
@@ -274,7 +282,7 @@ def _cmd_recovery_prob(args) -> int:
         embedded=_embedded(cfg.section("embedded", {"kind": "er"})),
         policy=policy,
         classifier=_classifier(cfg.section("classifier", {"method": "kmeans2"})),
-        correlations=CorrelationMode(mode, sim),
+        sim=sim,
         trials=cfg.get("trials", int),
         base_seed=seed if args.seed is None else args.seed,
     )
@@ -326,10 +334,7 @@ def _cmd_patch_catch(args) -> int:
 
 def _cmd_theory_check(args) -> int:
     if args.grid:
-        try:
-            grid = tuple(float(x) for x in args.grid.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad N grid {args.grid!r}") from exc
+        grid = tuple(_option_float(x, "--grid") for x in args.grid.split(","))
     else:
         grid = tuple(10.0 ** e for e in range(3, 9))
     cfg = TheoryCheckConfig(

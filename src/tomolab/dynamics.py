@@ -86,13 +86,12 @@ class NoiseKind(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Trajectory length, warm-up, noise family and seed for one simulation."""
+    """Noise scale, trajectory length, warm-up and noise family of a simulation."""
 
     beta: float
     n_max: int
     burn_in: int = 1000
     noise: NoiseKind = NoiseKind.GAUSSIAN
-    seed: int = 0
 
     def __post_init__(self):
         if not self.beta > 0.0:
@@ -315,6 +314,7 @@ def simulate_and_accumulate(
     a: CombinationMatrix,
     cfg: SimConfig,
     s: NodeSet,
+    seed: int,
     dump: TextIO | None = None,
 ) -> CorrelationSet:
     """Run the recursion from ``y_0 = 0`` and average streamed outer products.
@@ -327,9 +327,10 @@ def simulate_and_accumulate(
     * lag 1: mean of ``y_{n+1} y_n^T`` over samples ``0 .. n_max - 1``
       (``n_max`` terms),
 
-    both restricted to ``s``.  The result is a deterministic function of
-    ``(a, cfg, s)``.  When ``dump`` is given, every retained observable
-    sample is appended to it as ``n,node_id,y`` CSV rows.
+    both restricted to ``s``.  The noise comes from ``default_rng(seed)``,
+    so the result is a deterministic function of ``(a, cfg, s, seed)``.
+    When ``dump`` is given, every retained observable sample is appended
+    to it as ``n,node_id,y`` CSV rows.
 
     The state advances in blocks of ``B = _block_depth(N, T)`` steps over
     one preallocated buffer ``[x_1 ... x_B | y_0 ... y_B]`` of at most
@@ -354,7 +355,7 @@ def simulate_and_accumulate(
     if len(s) == 0:
         raise ValueError("the observable set must be nonempty")
     n = a.n
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     steps = unroll_depth(a.nnz, n)
     block = _block_depth(n, steps)
     indptr, indices, data = _unrolled_step(a, cfg.beta, steps, block)

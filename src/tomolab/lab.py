@@ -3,14 +3,15 @@ campaigns, and numeric checks of the sparse-regime theory.
 
 Each driver takes one flat frozen config, checked when it is built and so
 before any draw.  It holds the sizes and the sparsity rule (:class:`CRule`)
-directly, the planted subgraph's :class:`EmbeddedSource`, the
-:class:`CorrelationMode`, and the edge decision as an inference
-``Classifier``, whose unset threshold is resolved at each ``N`` and ``p``.
+directly, the planted subgraph's :class:`EmbeddedSource`, the simulation
+settings (``None`` for exact correlations, see :func:`correlations`), and
+the edge decision as an inference ``Classifier``, whose unset threshold is
+resolved at each ``N`` and ``p``.
 
-Every trial derives its own random generator from ``(base_seed, N index,
-trial index)``, so results do not depend on how trials are scheduled
-across worker threads.  The environment variable ``TOMOLAB_THREADS`` caps
-the thread pool size.
+Every trial derives its network and trajectory seeds from ``(base_seed,
+N index, trial index)``, so results do not depend on how trials are
+scheduled across worker threads.  The environment variable
+``TOMOLAB_THREADS`` caps the thread pool size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,6 +164,8 @@ class EmbeddedSource:
             raise ConfigError(f"embedded edge probability must be in [0, 1], got {self.q}")
         if self.kind == "explicit" and self.graph is None:
             raise ConfigError("an explicit embedded source needs a graph")
+        if self.graph is not None and self.kind != "explicit":
+            raise ConfigError(f"the {self.kind!r} embedded source takes no graph (explicit only)")
 
     def sample(self, s_size: int, p: float, rng: np.random.Generator) -> Graph:
         if self.kind == "ring":
@@ -179,24 +182,14 @@ class EmbeddedSource:
         return sample_er(s_size, min(q, 1.0), rng)
 
 
-@dataclass(frozen=True)
-class CorrelationMode:
-    """Exact correlations, or empirical ones from a simulated trajectory."""
+def correlations(a: CombinationMatrix, s: NodeSet, beta: float, seed: int, sim: SimConfig | None):
+    """Exact correlations at ``beta`` if ``sim`` is ``None``, else a trajectory's.
 
-    kind: str
-    sim: SimConfig | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("analytic", "empirical"):
-            raise ConfigError(f"unknown correlation mode {self.kind!r}")
-        if self.kind == "empirical" and self.sim is None:
-            raise ConfigError("empirical correlations need simulation settings")
-
-    def correlations(self, a: CombinationMatrix, s: NodeSet, beta: float, seed: int):
-        """Exact correlations at ``beta``, or those of a trajectory of ``sim`` from ``seed``."""
-        if self.kind == "analytic":
-            return analytic_correlations(a, beta, s)
-        return simulate_and_accumulate(a, replace(self.sim, seed=seed), s)
+    The trajectory runs ``sim`` (with its own ``beta``) from ``seed``.
+    """
+    if sim is None:
+        return analytic_correlations(a, beta, s)
+    return simulate_and_accumulate(a, sim, s, seed)
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,7 @@ class ExperimentConfig:
     embedded: EmbeddedSource
     policy: PolicyParams
     classifier: Classifier
-    correlations: CorrelationMode
+    sim: SimConfig | None
     trials: int
     base_seed: int = 0
 
@@ -256,7 +249,7 @@ def _recovery_trial(
     s, planted, _, a = _instance(cfg, n, p, derive_seed(cfg.base_seed, n_index, trial))
     sim_seed = derive_seed(cfg.base_seed, n_index, trial, 1)
     try:
-        corr = cfg.correlations.correlations(a, s, 1.0 - cfg.policy.rho, sim_seed)
+        corr = correlations(a, s, 1.0 - cfg.policy.rho, sim_seed, cfg.sim)
         est = granger_truncated(corr)
         decided = apply_classifier(est, cfg.classifier.resolve(cfg.policy, n, p))
     except NumericError as exc:
@@ -336,11 +329,11 @@ def _patch_catch_trial(cfg: PatchCatchConfig, trial: int) -> PatchCatchTrial:
     p = cfg.c_rule.p_for(cfg.n)
     s, _, g, a = _instance(cfg, cfg.n, p, derive_seed(cfg.base_seed, trial))
     plan = make_patches(s, cfg.probe_limit)
-    sim = replace(cfg.sim, seed=derive_seed(cfg.base_seed, trial, 1))
     state = run_patch_catch(
         a,
         plan,
-        sim,
+        cfg.sim,
+        derive_seed(cfg.base_seed, trial, 1),
         tiebreak=cfg.tiebreak,
         truth=subgraph(g, s),
         shared_trajectory=cfg.shared_trajectory,

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dynamics import CorrelationSet, SimConfig, derive_seed, simulate_and_accumulate
-from .errors import ConfigError
 from .graphs import Graph, NodeSet, _from_upper, _locate
 from .inference import Classifier, ClassifierMethod, apply_classifier, granger_truncated
 from .weights import CombinationMatrix
@@ -218,6 +217,7 @@ def run_patch_catch(
     a: CombinationMatrix,
     plan: PatchPlan,
     cfg: SimConfig,
+    seed: int,
     tiebreak: TieBreak = TieBreak.FIRST,
     truth: Graph | None = None,
     shared_trajectory: bool = True,
@@ -228,9 +228,10 @@ def run_patch_catch(
     ``j < i``.  Each experiment estimates empirical correlations on the
     patch union, applies the truncated estimator and the 2-means
     classifier, and merges the outcome.  With ``shared_trajectory`` one
-    long simulation covers the whole observable set and every experiment
-    reads its correlations off that single run; otherwise each experiment
-    simulates afresh with a seed derived from ``(cfg.seed, experiment)``.
+    long simulation from ``seed`` covers the whole observable set and every
+    experiment reads its correlations off that single run; otherwise each
+    experiment simulates afresh from ``derive_seed(seed, experiment)``.  A
+    union too small to split is refused before any simulation.
 
     ``truth`` (a graph on the plan's observable set, in set order) enables
     the per-experiment distance trace.
@@ -240,26 +241,22 @@ def run_patch_catch(
     if truth is not None and truth.n != len(s_all):
         raise ValueError("truth graph must cover exactly the observable set")
     pairs = [(j, i) for i in range(plan.patch_count) for j in range(i)]
-    for j, i in pairs:
-        if len(plan.patches[i]) + len(plan.patches[j]) < 3:
-            raise ConfigError(
-                f"patch union ({j}, {i}) has fewer than 3 nodes; "
-                "the classifier cannot operate"
-            )
+    if pairs:
+        smallest = sorted(len(patch) for patch in plan.patches)
+        _KMEANS2.check_observed(smallest[0] + smallest[1])
 
     state = ReconstructionState(s_all)
     truth_upper = None if truth is None else np.triu(truth.adjacency, 1)
     shared: CorrelationSet | None = None
     if shared_trajectory and plan.patch_count > 1:
-        shared = simulate_and_accumulate(a, cfg, s_all)
+        shared = simulate_and_accumulate(a, cfg, s_all, seed)
 
     for exp_index, (j, i) in enumerate(pairs):
         union = plan.patches[j].union(plan.patches[i])
         if shared is not None:
             corr = shared.restrict(union)
         else:
-            per_seed = derive_seed(cfg.seed, exp_index)
-            corr = simulate_and_accumulate(a, replace(cfg, seed=per_seed), union)
+            corr = simulate_and_accumulate(a, cfg, union, derive_seed(seed, exp_index))
         decided = apply_classifier(granger_truncated(corr), _KMEANS2)
         state.absorb(union, decided, tiebreak)
         dist = None if truth_upper is None else state.distance(truth_upper)

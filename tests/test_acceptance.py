@@ -16,7 +16,6 @@ from tomolab import (
     Classifier,
     ClassifierMethod,
     CombinationRule,
-    CorrelationMode,
     CRule,
     EmbeddedSource,
     ExperimentConfig,
@@ -199,7 +198,7 @@ def test_08_recovery_probability_endpoints(capsys):
         embedded=EmbeddedSource("er"),
         policy=PolicyParams(CombinationRule.METROPOLIS, rho=0.8),
         classifier=Classifier(ClassifierMethod.KMEANS2),
-        correlations=CorrelationMode("analytic"),
+        sim=None,
         trials=100,
         base_seed=8,
     )
@@ -213,7 +212,7 @@ def test_08_recovery_probability_endpoints(capsys):
             embedded=EmbeddedSource("er"),
             policy=PolicyParams(rule, rho=0.8, lam=1.0),
             classifier=Classifier(ClassifierMethod.KMEANS2),
-            correlations=CorrelationMode("analytic"),
+            sim=None,
             trials=100,
             base_seed=8,
         )
@@ -240,10 +239,8 @@ def test_09_empirical_estimates_converge_with_sample_size(capsys):
     for mi, n_max in enumerate(grid):
         errs = []
         for k in range(20):
-            sim = SimConfig(
-                beta=0.2, n_max=n_max, burn_in=1000, seed=derive_seed(9, k, mi)
-            )
-            emp = granger_truncated(simulate_and_accumulate(a, sim, s))
+            sim = SimConfig(beta=0.2, n_max=n_max, burn_in=1000)
+            emp = granger_truncated(simulate_and_accumulate(a, sim, s, derive_seed(9, k, mi)))
             errs.append(float(np.abs(emp - target).max()))
         medians.append(float(np.median(errs)))
     slope = float(np.polyfit(np.log10(grid), np.log10(medians), 1)[0])
@@ -259,7 +256,7 @@ def test_09_empirical_estimates_converge_with_sample_size(capsys):
 @pytest.mark.slow
 def test_10_patch_campaigns_reconstruct_the_observable_graph(capsys):
     policy = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
-    sim = SimConfig(beta=0.2, n_max=100000, burn_in=1000, seed=0)
+    sim = SimConfig(beta=0.2, n_max=100000, burn_in=1000)
 
     small = PatchCatchConfig(
         n=300, c_rule=CRule.multiple(5.0), s_size=20, probe_limit=10,
@@ -340,9 +337,7 @@ def test_12_runs_are_deterministic_across_thread_counts(capsys):
         embedded=EmbeddedSource("er"),
         policy=PolicyParams(CombinationRule.METROPOLIS, rho=0.8),
         classifier=Classifier(ClassifierMethod.KMEANS2),
-        correlations=CorrelationMode(
-            "empirical", SimConfig(beta=0.2, n_max=4000, burn_in=200)
-        ),
+        sim=SimConfig(beta=0.2, n_max=4000, burn_in=200),
         trials=8,
         base_seed=12,
     )

@@ -110,6 +110,16 @@ class TestGenerate:
         assert rc == 2
         assert "takes no q" in capsys.readouterr().err
 
+    def test_non_numeric_q_names_the_option(self, tmp_path, capsys):
+        rc = run(
+            "generate", "--n", "20", "--p", "0.1", "--embedded", "er:abc",
+            "--out", str(tmp_path / "net"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--embedded" in err
+        assert "Traceback" not in err
+
     def test_unknown_source_fails_cleanly(self, tmp_path, capsys):
         rc = run(
             "generate", "--n", "20", "--p", "0.1", "--embedded", "torus",
@@ -214,6 +224,17 @@ class TestEstimate:
             "--classifier", "threshold", "--eta", "0.05", "--out", str(out),
         )
         assert rc == 0
+
+    def test_non_numeric_eta_names_the_option(self, generated, tmp_path, capsys):
+        rc = run(
+            "estimate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-5",
+            "--classifier", "threshold", "--eta", "abc", "--out", str(tmp_path / "est"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--eta" in err
+        assert "Traceback" not in err
 
     def test_auto_eta_needs_p(self, generated, tmp_path, capsys):
         rc = run(
@@ -432,6 +453,10 @@ _MALFORMED = {
         "patch-catch", _with(_PATCH, None, shared_trajectory="false"), "'shared_trajectory'"
     ),
     "noise-unknown": ("patch-catch", _with(_PATCH, "sim", noise="laplace"), "'gaussian'"),
+    "mode-unknown": (
+        "recovery-prob", _with(_RECOVERY, "correlations", mode="oracle"),
+        "unknown correlation mode 'oracle'",
+    ),
     # each trial derives its simulation seed, so a nested one would go unread
     "seed-in-correlations": ("recovery-prob", _with(_RECOVERY, "correlations", seed=7), "'seed'"),
     "seed-in-sim": ("patch-catch", _with(_PATCH, "sim", seed=7), "'seed'"),
@@ -663,7 +688,8 @@ class TestGoldenBytes:
         state = run_patch_catch(
             a,
             make_patches(NodeSet(tuple(range(6))), 4),
-            SimConfig(beta=0.2, n_max=500, burn_in=50, seed=1),
+            SimConfig(beta=0.2, n_max=500, burn_in=50),
+            1,
             truth=truth,
         )
         assert experiment_log_csv(state) == GOLDEN_LOG

@@ -88,14 +88,14 @@ def _noise_block(rng, kind, rows, n):
     return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=(rows, n))
 
 
-def plain_loop_simulation(a, cfg, s, dump):
+def plain_loop_simulation(a, cfg, s, seed, dump):
     """Oracle for the kernel step: ``y = A @ y + beta * x`` on the same stream.
 
     Apart from the step itself this is the simulator's own accumulation, so
     its lag-0/lag-1 averages and dump text must agree bit for bit.
     """
     A = csr_view(a)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     y = np.zeros(a.n)
     done = 0
     while done < cfg.burn_in:
@@ -133,11 +133,11 @@ def plain_loop_simulation(a, cfg, s, dump):
     return 0.5 * (r0 + r0.T), r1_acc / cfg.n_max
 
 
-def matches_plain_loop(a, cfg, s):
+def matches_plain_loop(a, cfg, s, seed):
     """Whether the simulator agrees with the plain loop bit for bit, dump too."""
     got_dump, want_dump = io.StringIO(), io.StringIO()
-    got = simulate_and_accumulate(a, cfg, s, dump=got_dump)
-    want_r0, want_r1 = plain_loop_simulation(a, cfg, s, want_dump)
+    got = simulate_and_accumulate(a, cfg, s, seed, dump=got_dump)
+    want_r0, want_r1 = plain_loop_simulation(a, cfg, s, seed, want_dump)
     return (
         np.array_equal(got.r0, want_r0)
         and np.array_equal(got.r1, want_r1)
@@ -310,10 +310,8 @@ class TestEmpirical:
         g = ring_graph(5)
         a = build_matrix(g, MET)
         s = NodeSet((0, 2, 3))
-        cfg = SimConfig(
-            beta=0.6, n_max=4, burn_in=3, noise=NoiseKind.RADEMACHER, seed=99
-        )
-        got = simulate_and_accumulate(a, cfg, s)
+        cfg = SimConfig(beta=0.6, n_max=4, burn_in=3, noise=NoiseKind.RADEMACHER)
+        got = simulate_and_accumulate(a, cfg, s, 99)
 
         rng = np.random.default_rng(99)
         draw = lambda rows: (
@@ -341,8 +339,8 @@ class TestEmpirical:
         rng = np.random.default_rng(54)
         _, _, a, _ = random_observed_network(rng, n_lo=6, n_hi=12)
         s = full_set(a)
-        cfg = SimConfig(beta=0.4, n_max=1200, burn_in=600, seed=7)
-        got = simulate_and_accumulate(a, cfg, s)
+        cfg = SimConfig(beta=0.4, n_max=1200, burn_in=600)
+        got = simulate_and_accumulate(a, cfg, s, 7)
         assert a._dense is None
 
         rng2 = np.random.default_rng(7)
@@ -373,8 +371,8 @@ class TestEmpirical:
         s = NodeSet((1, 4, 5, 11, 23, 37))
         n_maxes = {1, _MAX_UNROLL - 1, _MAX_UNROLL, _MAX_UNROLL + 1, 511, 512, 513, 1200}
         for n_max in sorted(n_maxes - {0}):
-            cfg = SimConfig(beta=0.45, n_max=n_max, burn_in=burn_in, noise=kind, seed=n_max)
-            assert matches_plain_loop(a, cfg, s)
+            cfg = SimConfig(beta=0.45, n_max=n_max, burn_in=burn_in, noise=kind)
+            assert matches_plain_loop(a, cfg, s, n_max)
         assert a._dense is None
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
@@ -390,8 +388,8 @@ class TestEmpirical:
         lengths = (block - 1, block, block + 1, 2 * block + depth)
         for burn_in in lengths:
             for n_max in lengths:
-                cfg = SimConfig(beta=0.45, n_max=n_max, burn_in=burn_in, noise=kind, seed=n_max)
-                assert matches_plain_loop(a, cfg, s)
+                cfg = SimConfig(beta=0.45, n_max=n_max, burn_in=burn_in, noise=kind)
+                assert matches_plain_loop(a, cfg, s, n_max)
 
     @pytest.mark.parametrize("n", [25_000, 3_640])
     def test_kernel_step_matches_plain_loop_on_large_rings(self, n):
@@ -401,8 +399,8 @@ class TestEmpirical:
         assert depth == (1 if n == 25_000 else 3)
         s = NodeSet((0, 5, n // 2, n - 1))
         for steps in (1, depth + 1, 2 * depth + 2):
-            cfg = SimConfig(beta=0.45, n_max=steps, burn_in=steps, seed=steps)
-            assert matches_plain_loop(a, cfg, s)
+            cfg = SimConfig(beta=0.45, n_max=steps, burn_in=steps)
+            assert matches_plain_loop(a, cfg, s, steps)
         assert a._dense is None
 
     def test_kernel_calls_per_block(self, monkeypatch):
@@ -415,7 +413,7 @@ class TestEmpirical:
         for burn_in, n_max in ((0, 1), (3, 5), (600, 1200), (1000, 1029)):
             spy.calls = 0
             simulate_and_accumulate(
-                a, SimConfig(beta=0.3, n_max=n_max, burn_in=burn_in), s
+                a, SimConfig(beta=0.3, n_max=n_max, burn_in=burn_in), s, 0
             )
             blocks = [
                 min(_CHUNK, total - lo)
@@ -431,8 +429,8 @@ class TestEmpirical:
         n = 20_000
         a = build_matrix(ring_graph(n), MET)
         s = NodeSet((0, 5, n // 2, n - 1))
-        cfg = SimConfig(beta=0.45, n_max=600, burn_in=3, noise=kind, seed=1)
-        peak = traced_peak(lambda: simulate_and_accumulate(a, cfg, s))
+        cfg = SimConfig(beta=0.45, n_max=600, burn_in=3, noise=kind)
+        peak = traced_peak(lambda: simulate_and_accumulate(a, cfg, s, 1))
         assert peak <= 4 * _UNROLL_BYTES < _CHUNK * 8 * n
 
     @pytest.mark.parametrize("broken", ["copied", "reordered"])
@@ -442,22 +440,20 @@ class TestEmpirical:
         # input, or ran the step blocks out of order, must fail the oracle
         rng = np.random.default_rng(57)
         _, s, a, _ = random_observed_network(rng, n_lo=40, n_hi=80)
-        cfg = SimConfig(beta=0.45, n_max=40, burn_in=20, seed=3)
-        assert matches_plain_loop(a, cfg, s)
+        cfg = SimConfig(beta=0.45, n_max=40, burn_in=20)
+        assert matches_plain_loop(a, cfg, s, 3)
         monkeypatch.setattr(dynamics, "_sparsetools", KernelSpy(broken, a.n))
-        assert not matches_plain_loop(a, cfg, s)
+        assert not matches_plain_loop(a, cfg, s, 3)
 
     def test_reproducible_and_seed_sensitive(self):
         a = build_matrix(ring_graph(6), MET)
         s = NodeSet((0, 3))
-        cfg = SimConfig(beta=0.2, n_max=50, burn_in=10, seed=5)
-        one = simulate_and_accumulate(a, cfg, s)
-        two = simulate_and_accumulate(a, cfg, s)
+        cfg = SimConfig(beta=0.2, n_max=50, burn_in=10)
+        one = simulate_and_accumulate(a, cfg, s, 5)
+        two = simulate_and_accumulate(a, cfg, s, 5)
         assert np.array_equal(one.r0, two.r0)
         assert np.array_equal(one.r1, two.r1)
-        other = simulate_and_accumulate(
-            a, SimConfig(beta=0.2, n_max=50, burn_in=10, seed=6), s
-        )
+        other = simulate_and_accumulate(a, cfg, s, 6)
         assert not np.array_equal(one.r0, other.r0)
 
     @pytest.mark.parametrize(
@@ -468,15 +464,15 @@ class TestEmpirical:
         # nearly decoupled dynamics expose the driving variance directly
         a = CombinationMatrix(0.01 * np.eye(3), 0.5)
         s = NodeSet((0, 1, 2))
-        cfg = SimConfig(beta=1.0, n_max=4000, burn_in=50, noise=kind, seed=8)
-        corr = simulate_and_accumulate(a, cfg, s)
+        cfg = SimConfig(beta=1.0, n_max=4000, burn_in=50, noise=kind)
+        corr = simulate_and_accumulate(a, cfg, s, 8)
         assert np.diag(corr.r0) == pytest.approx(np.ones(3), abs=0.08)
 
     def test_single_step(self):
         a = build_matrix(ring_graph(3), MET)
         s = full_set(a)
-        cfg = SimConfig(beta=0.3, n_max=1, burn_in=0, seed=1)
-        corr = simulate_and_accumulate(a, cfg, s)
+        cfg = SimConfig(beta=0.3, n_max=1, burn_in=0)
+        corr = simulate_and_accumulate(a, cfg, s, 1)
         # sample 0 is the all-zero start, so the lag-1 average is one
         # outer product with a zero factor
         assert np.array_equal(corr.r1, np.zeros((3, 3)))
@@ -485,8 +481,8 @@ class TestEmpirical:
         a = build_matrix(ring_graph(3), MET)
         s = NodeSet((0, 2))
         buf = io.StringIO()
-        cfg = SimConfig(beta=0.5, n_max=3, burn_in=2, seed=12)
-        corr = simulate_and_accumulate(a, cfg, s, dump=buf)
+        cfg = SimConfig(beta=0.5, n_max=3, burn_in=2)
+        corr = simulate_and_accumulate(a, cfg, s, 12, dump=buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "n,node_id,y"
         body = [ln.split(",") for ln in lines[1:]]
@@ -529,6 +525,11 @@ class TestValidation:
             SimConfig(beta=0.1, n_max=0)
         with pytest.raises(ValueError, match="burn_in"):
             SimConfig(beta=0.1, n_max=10, burn_in=-1)
+
+    def test_sim_config_holds_no_seed(self):
+        # each simulate_and_accumulate call takes its own seed
+        with pytest.raises(TypeError, match="seed"):
+            SimConfig(beta=0.1, n_max=10, seed=3)
 
     def test_correlation_set_shape_check(self):
         with pytest.raises(ValueError, match="3x3"):
@@ -578,4 +579,4 @@ class TestValidation:
     def test_empty_observable_rejected(self):
         a = build_matrix(ring_graph(3), MET)
         with pytest.raises(ValueError, match="nonempty"):
-            simulate_and_accumulate(a, SimConfig(beta=0.1, n_max=5), NodeSet(()))
+            simulate_and_accumulate(a, SimConfig(beta=0.1, n_max=5), NodeSet(()), 0)

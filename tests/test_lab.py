@@ -10,7 +10,6 @@ from tomolab import (
     ClassifierMethod,
     CombinationRule,
     ConfigError,
-    CorrelationMode,
     CRule,
     EmbeddedSource,
     ExperimentConfig,
@@ -182,6 +181,11 @@ class TestEmbeddedSources:
         with pytest.raises(ConfigError, match="takes no q"):
             EmbeddedSource(kind, 0.3, graph)
 
+    @pytest.mark.parametrize("kind", ["er", "ring", "match_p"])
+    def test_graph_applies_to_explicit_only(self, kind):
+        with pytest.raises(ConfigError, match="takes no graph"):
+            EmbeddedSource(kind, graph=ring_graph(5))
+
 
 class TestClassifier:
     def test_kmeans_resolution_has_no_threshold(self):
@@ -216,30 +220,25 @@ class TestClassifier:
             Classifier(ClassifierMethod.THRESHOLD).resolve(pol, 100, None)
 
 
-class TestCorrelationMode:
-    def test_kinds(self):
-        assert CorrelationMode("analytic").kind == "analytic"
-        mode = CorrelationMode("empirical", SimConfig(beta=0.2, n_max=100))
-        assert mode.sim.n_max == 100
+class TestCorrelations:
+    @pytest.fixture
+    def network(self):
+        a = build_matrix(ring_graph(12), PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
+        return a, NodeSet((0, 3, 4, 7))
 
-    def test_validation(self):
-        with pytest.raises(ConfigError, match="unknown correlation mode"):
-            CorrelationMode("oracle")
-        with pytest.raises(ConfigError, match="need simulation settings"):
-            CorrelationMode("empirical")
-
-    def test_dispatch(self):
-        g = ring_graph(12)
-        a = build_matrix(g, PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
-        s = NodeSet((0, 3, 4, 7))
-        sim = SimConfig(beta=0.3, n_max=700, burn_in=20, seed=1)
-        exact = CorrelationMode("analytic").correlations(a, s, 0.3, 9)
+    def test_no_sim_is_exact(self, network):
+        a, s = network
+        exact = lab.correlations(a, s, 0.3, 9, None)
         want = analytic_correlations(a, 0.3, s)
         assert exact.analytic and np.array_equal(exact.r0, want.r0)
         assert np.array_equal(exact.r1, want.r1)
-        # the mode's own seed is replaced by the one handed in
-        drawn = CorrelationMode("empirical", sim).correlations(a, s, 0.5, 9)
-        want = simulate_and_accumulate(a, SimConfig(beta=0.3, n_max=700, burn_in=20, seed=9), s)
+
+    def test_sim_draws_a_trajectory_from_the_seed(self, network):
+        a, s = network
+        sim = SimConfig(beta=0.3, n_max=700, burn_in=20)
+        # the simulation runs at its own beta, not the one handed in
+        drawn = lab.correlations(a, s, 0.5, 9, sim)
+        want = simulate_and_accumulate(a, sim, s, 9)
         assert drawn.sample_count == 700 and np.array_equal(drawn.r0, want.r0)
         assert np.array_equal(drawn.r1, want.r1)
 
@@ -252,7 +251,7 @@ def _analytic_config(**overrides):
         embedded=EmbeddedSource("match_p"),
         policy=PolicyParams(CombinationRule.METROPOLIS, rho=0.8),
         classifier=Classifier(ClassifierMethod.KMEANS2),
-        correlations=CorrelationMode("analytic"),
+        sim=None,
         trials=30,
         base_seed=5,
     )
@@ -339,7 +338,7 @@ class TestRecoveryExperiment:
             c_rule=CRule.multiple(3.0),
             s_size=6,
             embedded=EmbeddedSource("er"),
-            correlations=CorrelationMode("empirical", SimConfig(beta=0.2, n_max=2, burn_in=5)),
+            sim=SimConfig(beta=0.2, n_max=2, burn_in=5),
             trials=2,
         )
         with caplog.at_level("WARNING", logger="tomolab.lab"):
@@ -364,9 +363,7 @@ class TestRecoveryExperiment:
             embedded=EmbeddedSource("er"),
             classifier=Classifier(ClassifierMethod.THRESHOLD),
             policy=PolicyParams(CombinationRule.LAPLACIAN, rho=0.8, lam=1.0),
-            correlations=CorrelationMode(
-                "empirical", SimConfig(beta=0.2, n_max=4000, burn_in=200)
-            ),
+            sim=SimConfig(beta=0.2, n_max=4000, burn_in=200),
             trials=8,
             base_seed=3,
         )

@@ -264,10 +264,10 @@ def small_campaign(seed=0, tiebreak=TieBreak.FIRST, shared=True):
     g = sample_partial_er(PartialErSpec(n, p, s, planted), rng)
     a = build_matrix(g, PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
     plan = make_patches(s, 8)
-    cfg = SimConfig(beta=0.2, n_max=40_000, burn_in=500, seed=seed)
+    cfg = SimConfig(beta=0.2, n_max=40_000, burn_in=500)
     truth = subgraph(g, s)
     state = run_patch_catch(
-        a, plan, cfg, tiebreak=tiebreak, truth=truth, shared_trajectory=shared
+        a, plan, cfg, seed, tiebreak=tiebreak, truth=truth, shared_trajectory=shared
     )
     return state, truth, a, plan, cfg
 
@@ -306,8 +306,8 @@ class TestProbingRuns:
             oracle.append(graph_distance(truth, state.estimated_graph()))
 
         monkeypatch.setattr(ReconstructionState, "absorb", absorb_and_measure)
-        cfg = SimConfig(beta=0.2, n_max=3000, burn_in=100, seed=8)
-        state = run_patch_catch(a, make_patches(s, 4), cfg, tiebreak=tiebreak, truth=truth)
+        cfg = SimConfig(beta=0.2, n_max=3000, burn_in=100)
+        state = run_patch_catch(a, make_patches(s, 4), cfg, 8, tiebreak=tiebreak, truth=truth)
         trace = [rec.distance for rec in state.experiment_log]
         assert len(trace) == 15 and len(set(trace)) > 2
         assert trace == oracle
@@ -323,8 +323,8 @@ class TestProbingRuns:
         state, truth, a, _, cfg = small_campaign()
         s = NodeSet(tuple(range(12)))
         plan2 = PatchPlan((NodeSet(tuple(range(6))), NodeSet(tuple(range(6, 12)))), 12)
-        state2 = run_patch_catch(a, plan2, cfg, truth=truth)
-        corr = simulate_and_accumulate(a, cfg, s)
+        state2 = run_patch_catch(a, plan2, cfg, 0, truth=truth)
+        corr = simulate_and_accumulate(a, cfg, s, 0)
         direct = classify_kmeans2(symmetrize(granger_truncated(corr)))
         assert state2.estimated_graph() == direct
 
@@ -342,13 +342,13 @@ class TestProbingRuns:
     def test_truth_size_checked(self):
         _, _, a, plan, cfg = small_campaign()
         with pytest.raises(ValueError, match="observable"):
-            run_patch_catch(a, plan, cfg, truth=ring_graph(5))
+            run_patch_catch(a, plan, cfg, 0, truth=ring_graph(5))
 
     def test_tiny_union_rejected(self):
         a = build_matrix(ring_graph(6), PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
         plan = PatchPlan((NodeSet((0,)), NodeSet((1,))), 4)
-        with pytest.raises(ConfigError, match="fewer than 3"):
-            run_patch_catch(a, plan, SimConfig(beta=0.2, n_max=10))
+        with pytest.raises(ConfigError, match="at least 3 observed nodes"):
+            run_patch_catch(a, plan, SimConfig(beta=0.2, n_max=10), 0)
 
 
 class TestExperimentLog:
@@ -364,6 +364,6 @@ class TestExperimentLog:
 
     def test_distance_blank_without_truth(self):
         _, _, a, plan, cfg = small_campaign()
-        state = run_patch_catch(a, plan, cfg)
+        state = run_patch_catch(a, plan, cfg, 0)
         lines = experiment_log_csv(state).strip().splitlines()
         assert lines[1].endswith(",")
