@@ -1,6 +1,6 @@
 """Local tomography of diffusion networks under partial observation."""
 
-from .errors import ConfigError, NumericError, UnsupportedMethodError
+from .errors import ConfigError, NumericError
 from .graphs import (
     INFINITE,
     Graph,

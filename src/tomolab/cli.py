@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import NoiseKind, SimConfig, simulate_and_accumulate
-from .errors import ConfigError, NumericError, UnsupportedMethodError
+from .errors import ConfigError, NumericError
 from .graphs import NodeSet, PartialErSpec, load_edge_list, sample_partial_er, save_edge_list, subgraph
 from .inference import (
     Classifier,
@@ -46,6 +46,9 @@ from .patchwork import TieBreak
 from .weights import CombinationRule, PolicyParams, build_matrix
 
 SCHEMA = 1
+# flag defaults applied in code: argparse leaves these flags None when not given
+_S_SIZE = 10
+_N_MAX = 100000
 
 
 def parse_node_range(text: str) -> NodeSet:
@@ -162,12 +165,12 @@ def _embedded(f: _Fields) -> EmbeddedSource:
     return EmbeddedSource(kind, f.get("q", float, None), graph)
 
 
-def _sim(f: _Fields, default_beta: float) -> SimConfig:
+def _sim(f: _Fields, policy: PolicyParams) -> SimConfig:
     return SimConfig(
-        beta=f.get("beta", float, default_beta),
+        beta=f.get("beta", float, policy.default_beta),
         n_max=f.get("n_max", int),
-        burn_in=f.get("burn_in", int, 1000),
-        noise=f.get("noise", NoiseKind, NoiseKind.GAUSSIAN),
+        burn_in=f.get("burn_in", int, SimConfig.burn_in),
+        noise=f.get("noise", NoiseKind, SimConfig.noise),
     )
 
 
@@ -193,16 +196,17 @@ def _matrix_csv(m: np.ndarray) -> str:
 
 
 def _cmd_generate(args) -> int:
-    if not args.s and args.s_size < 1:
-        raise ConfigError(f"--s-size must be at least 1, got {args.s_size}")
+    size = _S_SIZE if args.s_size is None else args.s_size
+    if not args.s and size < 1:
+        raise ConfigError(f"--s-size must be at least 1, got {size}")
     rng = np.random.default_rng(args.seed)
-    s = parse_node_range(args.s) if args.s else NodeSet(tuple(range(args.s_size)))
+    s = parse_node_range(args.s) if args.s else NodeSet(tuple(range(size)))
     kind, _, arg = args.embedded.partition(":")
     if kind == "file":
-        src = _embedded(_Fields({"kind": "explicit", "file": arg}, "embedded"))
+        src = EmbeddedSource("explicit", graph=load_edge_list(arg))
     else:
         q = _option_float(arg, "--embedded") if arg else None
-        src = _embedded(_Fields({"kind": kind.replace("-", "_"), "q": q}, "embedded"))
+        src = EmbeddedSource(kind.replace("-", "_"), q)
     planted = src.sample(len(s), args.p, rng)
     g = sample_partial_er(PartialErSpec(args.n, args.p, s, planted), rng)
     save_edge_list(g, _out_path(args.out, "graph.edges"))
@@ -215,18 +219,29 @@ def _cmd_generate(args) -> int:
 
 
 def _network_from_args(args):
-    """``(g, policy, a, s, sim)`` from the ``simulate``/``estimate`` options."""
+    """``(g, policy, a, s, beta, sim)`` from the flags; ``sim`` is ``None`` when analytic.
+
+    Analytic mode refuses the simulation flags; one not given keeps its default.
+    """
+    if args.mode == "analytic":
+        for flag in ("n_max", "burn_in", "noise"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag.replace('_', '-')} applies to --mode empirical only")
     g = load_edge_list(args.graph)
-    policy = _policy(_Fields({"rule": args.policy, "rho": args.rho, "lambda": args.lam}, "policy"))
+    policy = PolicyParams(CombinationRule(args.policy), args.rho, args.lam)
     s = parse_node_range(args.s)
     s.check_within(g.n)
-    beta = args.beta if args.beta is not None else 1.0 - policy.rho
-    opts = {"n_max": args.n_max, "burn_in": args.burn_in, "noise": args.noise}
-    return g, policy, build_matrix(g, policy), s, _sim(_Fields(opts, "options"), beta)
+    beta = policy.default_beta if args.beta is None else args.beta
+    sim = None
+    if args.mode == "empirical":
+        given = {"burn_in": args.burn_in, "noise": NoiseKind(args.noise) if args.noise else None}
+        n_max = _N_MAX if args.n_max is None else args.n_max
+        sim = SimConfig(beta, n_max, **{k: v for k, v in given.items() if v is not None})
+    return g, policy, build_matrix(g, policy), s, beta, sim
 
 
 def _cmd_simulate(args) -> int:
-    g, _, a, s, cfg = _network_from_args(args)
+    g, _, a, s, _, cfg = _network_from_args(args)
     path = _out_path(args.out, "trajectory.csv") if args.dump else None
     with open(path, "w", encoding="ascii") if path else contextlib.nullcontext() as dump:
         corr = simulate_and_accumulate(a, cfg, s, args.seed, dump=dump)
@@ -240,14 +255,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    g, policy, a, s, sim = _network_from_args(args)
+    g, policy, a, s, beta, sim = _network_from_args(args)
     eta = None if args.eta == "auto" else _option_float(args.eta, "--eta")
     classifier = Classifier(ClassifierMethod(args.classifier), eta)
     if args.p is not None and not 0.0 < args.p <= 1.0:
         raise ConfigError(f"--p must lie in (0, 1], got {args.p}")
     classifier.check_observed(len(s))
     rule = classifier.resolve(policy, g.n, args.p)
-    corr = correlations(a, s, sim.beta, args.seed, sim if args.mode == "empirical" else None)
+    corr = correlations(a, s, beta, args.seed, sim)
     est = granger_truncated(corr)
     decided = apply_classifier(est, rule)
     _write_text(args.out, "a_hat.csv", _matrix_csv(est))
@@ -273,7 +288,7 @@ def _cmd_recovery_prob(args) -> int:
     mode = corr.get("mode", str)
     if mode not in ("analytic", "empirical"):
         raise ConfigError(f"unknown correlation mode {mode!r}")
-    sim = _sim(corr, 1.0 - policy.rho) if mode == "empirical" else None
+    sim = _sim(corr, policy) if mode == "empirical" else None
     seed = cfg.get("seed", int, 0)
     experiment = ExperimentConfig(
         n_grid=tuple(n_grid),
@@ -312,7 +327,7 @@ def _cmd_patch_catch(args) -> int:
         s_size=cfg.get("s_size", int),
         probe_limit=cfg.get("probe_limit", int),
         policy=policy,
-        sim=_sim(cfg.section("sim"), 1.0 - policy.rho),
+        sim=_sim(cfg.section("sim"), policy),
         trials=cfg.get("trials", int),
         base_seed=seed if args.seed is None else args.seed,
         tiebreak=cfg.get("tiebreak", TieBreak, TieBreak.FIRST),
@@ -363,8 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample a partially characterized network")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--s-size", type=int, default=10)
-    p.add_argument("--s", type=str, default=None, help="explicit observable ids, e.g. 0-9")
+    observed = p.add_mutually_exclusive_group()
+    observed.add_argument("--s-size", type=int, default=None,
+                          help=f"observe nodes 0..k-1 (default {_S_SIZE})")
+    observed.add_argument("--s", type=str, default=None, help="explicit observable ids, e.g. 0-9")
     p.add_argument("--embedded", type=str, default="er", help="er[:q] | ring | match-p | file:PATH")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, required=True)
@@ -377,17 +394,19 @@ def build_parser() -> argparse.ArgumentParser:
     common_sim.add_argument("--lam", type=float, default=1.0)
     common_sim.add_argument("--s", type=str, required=True)
     common_sim.add_argument("--beta", type=float, default=None)
-    common_sim.add_argument("--n-max", type=int, default=100000)
-    common_sim.add_argument("--burn-in", type=int, default=1000)
-    common_sim.add_argument("--noise", type=str, default="gaussian",
-                            choices=[k.value for k in NoiseKind])
+    common_sim.add_argument("--n-max", type=int, default=None, help=f"default {_N_MAX}")
+    common_sim.add_argument("--burn-in", type=int, default=None,
+                            help=f"default {SimConfig.burn_in}")
+    common_sim.add_argument("--noise", type=str, default=None,
+                            choices=[k.value for k in NoiseKind],
+                            help=f"default {SimConfig.noise.value}")
     common_sim.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", parents=[common_sim],
                        help="estimate correlations from a trajectory")
     p.add_argument("--dump", action="store_true", help="also write the raw observable samples")
     p.add_argument("--out", type=str, required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, mode="empirical")  # always a trajectory
 
     p = sub.add_parser("estimate", parents=[common_sim],
                        help="estimate the observable submatrix and classify pairs")
@@ -398,18 +417,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("recovery-prob", help="recovery probability over a size grid")
-    p.add_argument("--config", type=str, required=True)
-    p.add_argument("--out", type=str, required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None)
+    common_exp = argparse.ArgumentParser(add_help=False)
+    common_exp.add_argument("--config", type=str, required=True)
+    common_exp.add_argument("--out", type=str, required=True)
+    common_exp.add_argument("--seed", type=int, default=None, help="override the config seed")
+    common_exp.add_argument("--threads", type=int, default=None)
+
+    p = sub.add_parser("recovery-prob", parents=[common_exp],
+                       help="recovery probability over a size grid")
     p.set_defaults(func=_cmd_recovery_prob)
 
-    p = sub.add_parser("patch-catch", help="patch-based reconstruction campaign")
-    p.add_argument("--config", type=str, required=True)
-    p.add_argument("--out", type=str, required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None)
+    p = sub.add_parser("patch-catch", parents=[common_exp],
+                       help="patch-based reconstruction campaign")
     p.set_defaults(func=_cmd_patch_catch)
 
     p = sub.add_parser("theory-check", help="tail quantities of the sparse regime")
@@ -428,15 +447,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, UnsupportedMethodError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

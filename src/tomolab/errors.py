@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is used for malformed arguments to individual
-operations.  The types below carry intent that callers (notably the CLI)
-need to distinguish: configuration problems map to exit code 2, failed
-linear algebra to exit code 3.
+operations; :class:`ConfigError`, also a ``ValueError``, marks a setting
+that cannot run, such as 2-means on fewer than three observed nodes.  The
+CLI maps both, and ``OSError``, to exit code 2, and :class:`NumericError`
+(failed linear algebra) to exit code 3.
 """
 
 
@@ -17,7 +18,3 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, condition: float | None = None):
         super().__init__(message)
         self.condition = condition
-
-
-class UnsupportedMethodError(RuntimeError):
-    """The requested method cannot be applied to the given input shape."""

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import _chebyshev_solve, _product
-from .errors import ConfigError, NumericError, UnsupportedMethodError
+from .errors import ConfigError, NumericError
 from .graphs import Graph, NodeSet, _from_upper, hop_counts, local_disconnect
 from .weights import CombinationMatrix, PolicyParams, class_tau
 
@@ -294,18 +294,15 @@ def classify_kmeans2(a_hat_s: np.ndarray) -> Graph:
 
     The ``S(S-1)/2`` values (mean of the two directed entries per pair) are
     split by exact 1-D 2-means; pairs in the higher-mean cluster become
-    edges.  Needs at least three observed nodes; if every value is
-    identical there is nothing to separate and the edgeless graph is
-    returned.
+    edges.  Fewer than three observed nodes raise the ``ConfigError`` of
+    :meth:`Classifier.check_observed`; if every value is identical there
+    is nothing to separate and the edgeless graph is returned.
     """
     m = np.asarray(a_hat_s, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("estimate must be a square matrix")
     k = m.shape[0]
-    if k <= 2:
-        raise UnsupportedMethodError(
-            "2-means needs at least 3 observed nodes; use classify_threshold instead"
-        )
+    Classifier(ClassifierMethod.KMEANS2).check_observed(k)
     iu = np.triu_indices(k, 1)
     vals = symmetrize(m)[iu]
     upper = np.zeros(vals.size, bool) if np.all(vals == vals[0]) else two_means_1d(vals)[0]

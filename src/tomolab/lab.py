@@ -249,7 +249,7 @@ def _recovery_trial(
     s, planted, _, a = _instance(cfg, n, p, derive_seed(cfg.base_seed, n_index, trial))
     sim_seed = derive_seed(cfg.base_seed, n_index, trial, 1)
     try:
-        corr = correlations(a, s, 1.0 - cfg.policy.rho, sim_seed, cfg.sim)
+        corr = correlations(a, s, cfg.policy.default_beta, sim_seed, cfg.sim)
         est = granger_truncated(corr)
         decided = apply_classifier(est, cfg.classifier.resolve(cfg.policy, n, p))
     except NumericError as exc:

@@ -54,6 +54,11 @@ class PolicyParams:
         if self.rule is CombinationRule.METROPOLIS and self.lam != 1.0:
             raise ValueError(f"lambda (lam) applies to the laplacian rule only, got {self.lam}")
 
+    @property
+    def default_beta(self) -> float:
+        """The noise scale ``1 - rho`` used wherever none is given."""
+        return 1.0 - self.rho
+
 
 class CombinationMatrix:
     """Non-negative symmetric weights whose rows sum to at most ``rho_bound``.

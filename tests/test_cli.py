@@ -14,7 +14,6 @@ from tomolab import (
     NodeSet,
     PolicyParams,
     SimConfig,
-    UnsupportedMethodError,
     build_matrix,
     experiment_log_csv,
     load_edge_list,
@@ -24,7 +23,6 @@ from tomolab import (
     save_edge_list,
     subgraph,
 )
-from tomolab import cli
 from tomolab.cli import main, parse_node_range
 
 
@@ -127,6 +125,18 @@ class TestGenerate:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    # 10 is the default size: a parser default of 10 would let "--s-size 10" through
+    @pytest.mark.parametrize("size", ["7", "10"])
+    def test_s_and_s_size_are_exclusive(self, tmp_path, capsys, size):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "generate", "--n", "20", "--p", "0.1", "--s", "0-4", "--s-size", size,
+                "--out", str(tmp_path / "net"),
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "net").exists()
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_empty_observable_size_rejected(self, tmp_path, capsys, size):
@@ -276,13 +286,25 @@ class TestEstimate:
         rc = run(
             "estimate", "--graph", str(generated / "graph.edges"),
             "--policy", "metropolis", "--rho", "0.8", "--s", "0-1", "--mode", mode,
-            "--n-max", "100", "--out", str(tmp_path / "est"),
+            *(["--n-max", "100"] if mode == "empirical" else []), "--out", str(tmp_path / "est"),
         )
         assert rc == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "kmeans2" in lines[0]
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize("flag", [["--n-max", "100"], ["--burn-in", "5"], ["--noise", "rademacher"]])
+    def test_analytic_refuses_simulation_flags(self, generated, tmp_path, capsys, flag):
+        rc = run(
+            "estimate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-5", "--mode", "analytic",
+            *flag, "--out", str(tmp_path / "est"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and flag[0] in err[0]
         assert not (tmp_path / "est").exists()
 
     def test_threshold_on_two_nodes_runs(self, generated, tmp_path):
@@ -562,6 +584,13 @@ GOLDEN_A_HAT = (
     b"0.15574860604524746,0.17957635147607606,0.14421811562431683\n"
     b"-9.876877150360547e-18,0.13333333333333325,0.6666666666666669\n"
 )
+# the same network's empirical estimate at n_max 500, seed 3, with burn-in
+# 1000 and gaussian noise (the defaults when neither flag is given)
+GOLDEN_EMPIRICAL_A_HAT = (
+    b"0.48199050888529893,0.14149962161529342,-0.04035842599065457\n"
+    b"0.18672501814060377,0.18254904756054105,0.18815008551031923\n"
+    b"-0.013315682354612772,0.09390793517734282,0.713278395210246\n"
+)
 GOLDEN_R0 = (
     b"0.07284710209524953,0.024948833285809765,0.0001063137638931359\n"
     b"0.024948833285809765,0.07599245486309907,0.016627912924778655\n"
@@ -644,6 +673,24 @@ class TestGoldenBytes:
         assert (tmp_path / "est" / "a_hat.csv").read_bytes() == GOLDEN_A_HAT
         assert (tmp_path / "sim" / "r0.csv").read_bytes() == GOLDEN_R0
 
+    def test_estimate_with_the_mode_given(self, tmp_path, capsys):
+        net = tmp_path / "net"
+        assert run(
+            "generate", "--n", "12", "--p", "0.3", "--s-size", "3", "--seed", "2",
+            "--out", str(net),
+        ) == 0
+        common = ["--graph", str(net / "graph.edges"), "--policy", "metropolis",
+                  "--rho", "0.8", "--s", "0-2"]
+        assert run("estimate", *common, "--mode", "analytic", "--out", str(tmp_path / "an")) == 0
+        assert run(
+            "estimate", *common, "--mode", "empirical", "--n-max", "500", "--seed", "3",
+            "--out", str(tmp_path / "em"),
+        ) == 0
+        capsys.readouterr()
+        assert (tmp_path / "an" / "a_hat.csv").read_bytes() == GOLDEN_A_HAT
+        assert (tmp_path / "an" / "classification.json").read_bytes() == GOLDEN_CLASSIFICATION
+        assert (tmp_path / "em" / "a_hat.csv").read_bytes() == GOLDEN_EMPIRICAL_A_HAT
+
     def test_classification_reports(self, tmp_path, capsys):
         net = tmp_path / "net"
         assert run(
@@ -698,14 +745,6 @@ class TestEntryPoint:
     def test_missing_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main([])
-
-    def test_unsupported_method_exits_two(self, monkeypatch, capsys):
-        def refuse(args):
-            raise UnsupportedMethodError("no such method here")
-
-        monkeypatch.setattr(cli, "_cmd_theory_check", refuse)
-        assert run("theory-check", "--rho", "0.8") == 2
-        assert capsys.readouterr().err == "error: no such method here\n"
 
     def test_installed_script_runs(self):
         proc = subprocess.run(

@@ -14,12 +14,12 @@ from tomolab import (
     Classifier,
     ClassifierMethod,
     CombinationRule,
+    ConfigError,
     CorrelationSet,
     NodeSet,
     NumericError,
     PartialErSpec,
     PolicyParams,
-    UnsupportedMethodError,
     analytic_correlations,
     apply_classifier,
     build_matrix,
@@ -367,7 +367,7 @@ class TestKMeansClassifier:
         assert classify_kmeans2(m) == edgeless_graph(5)
 
     def test_too_few_nodes(self):
-        with pytest.raises(UnsupportedMethodError, match="classify_threshold"):
+        with pytest.raises(ConfigError, match="kmeans2 needs at least 3 observed nodes, got 2"):
             classify_kmeans2(np.eye(2))
 
     def test_scale_invariance(self):
