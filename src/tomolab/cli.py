@@ -204,6 +204,8 @@ def _cmd_generate(args) -> int:
     kind, _, arg = args.embedded.partition(":")
     if kind == "file":
         src = EmbeddedSource("explicit", graph=load_edge_list(arg))
+    elif kind == "explicit":
+        raise ConfigError("--embedded explicit needs a graph: give it as --embedded file:PATH")
     else:
         q = _option_float(arg, "--embedded") if arg else None
         src = EmbeddedSource(kind.replace("-", "_"), q)
@@ -369,13 +371,17 @@ def _cmd_theory_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: a flag's prefix is no flag, so
+    # "--burn 1000" is refused rather than read as "--burn-in 1000"
     parser = argparse.ArgumentParser(
         prog="tomolab",
         description="Local tomography of diffusion networks under partial observation.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="sample a partially characterized network")
+    p = sub.add_parser("generate", help="sample a partially characterized network",
+                       allow_abbrev=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     observed = p.add_mutually_exclusive_group()
@@ -387,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_generate)
 
-    common_sim = argparse.ArgumentParser(add_help=False)
+    common_sim = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common_sim.add_argument("--graph", type=str, required=True)
     common_sim.add_argument("--policy", type=str, required=True, choices=["laplacian", "metropolis"])
     common_sim.add_argument("--rho", type=float, required=True)
@@ -402,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help=f"default {SimConfig.noise.value}")
     common_sim.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("simulate", parents=[common_sim],
+    p = sub.add_parser("simulate", parents=[common_sim], allow_abbrev=False,
                        help="estimate correlations from a trajectory")
     p.add_argument("--dump", action="store_true", help="also write the raw observable samples")
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_simulate, mode="empirical")  # always a trajectory
 
-    p = sub.add_parser("estimate", parents=[common_sim],
+    p = sub.add_parser("estimate", parents=[common_sim], allow_abbrev=False,
                        help="estimate the observable submatrix and classify pairs")
     p.add_argument("--mode", type=str, default="analytic", choices=["analytic", "empirical"])
     p.add_argument("--classifier", type=str, default="kmeans2", choices=["kmeans2", "threshold"])
@@ -417,21 +423,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_estimate)
 
-    common_exp = argparse.ArgumentParser(add_help=False)
+    common_exp = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common_exp.add_argument("--config", type=str, required=True)
     common_exp.add_argument("--out", type=str, required=True)
     common_exp.add_argument("--seed", type=int, default=None, help="override the config seed")
     common_exp.add_argument("--threads", type=int, default=None)
 
-    p = sub.add_parser("recovery-prob", parents=[common_exp],
+    p = sub.add_parser("recovery-prob", parents=[common_exp], allow_abbrev=False,
                        help="recovery probability over a size grid")
     p.set_defaults(func=_cmd_recovery_prob)
 
-    p = sub.add_parser("patch-catch", parents=[common_exp],
+    p = sub.add_parser("patch-catch", parents=[common_exp], allow_abbrev=False,
                        help="patch-based reconstruction campaign")
     p.set_defaults(func=_cmd_patch_catch)
 
-    p = sub.add_parser("theory-check", help="tail quantities of the sparse regime")
+    p = sub.add_parser("theory-check", help="tail quantities of the sparse regime",
+                       allow_abbrev=False)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--s-size", type=int, default=10)
     p.add_argument("--grid", type=str, default=None, help="comma-separated N values")

@@ -118,6 +118,15 @@ class TestGenerate:
         assert err.startswith("error:") and "--embedded" in err
         assert "Traceback" not in err
 
+    def test_explicit_source_without_a_file_names_the_file_form(self, tmp_path, capsys):
+        rc = run(
+            "generate", "--n", "20", "--p", "0.1", "--embedded", "explicit",
+            "--out", str(tmp_path / "net"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--embedded" in err and "file:PATH" in err
+
     def test_unknown_source_fails_cleanly(self, tmp_path, capsys):
         rc = run(
             "generate", "--n", "20", "--p", "0.1", "--embedded", "torus",
@@ -580,9 +589,9 @@ GOLDEN_THEORY = (
     b"1000000.0,2,4.309988795335387,120138.19312464526\r\n"
 )
 GOLDEN_A_HAT = (
-    b"0.5053868197323231,0.14953418148492703,0.0007358761305913329\n"
-    b"0.15574860604524746,0.17957635147607606,0.14421811562431683\n"
-    b"-9.876877150360547e-18,0.13333333333333325,0.6666666666666669\n"
+    b"0.5053868197323235,0.1495341814849272,0.0007358761305913138\n"
+    b"0.1557486060452476,0.179576351476076,0.1442181156243168\n"
+    b"1.0726142096736705e-17,0.13333333333333341,0.6666666666666666\n"
 )
 # the same network's empirical estimate at n_max 500, seed 3, with burn-in
 # 1000 and gaussian noise (the defaults when neither flag is given)
@@ -613,11 +622,11 @@ GOLDEN_RECOVERY_JSON = (
 GOLDEN_CLASSIFICATION = (
     b'{\n  "schema": 1,\n  "n": 12,\n  "observable": [\n    0,\n    1,\n    2\n  ],\n'
     b'  "pairs": [\n'
-    b'    {\n      "i": 0,\n      "j": 1,\n      "score": 0.15264139376508723,\n'
+    b'    {\n      "i": 0,\n      "j": 1,\n      "score": 0.1526413937650874,\n'
     b'      "decision": true\n    },\n'
-    b'    {\n      "i": 0,\n      "j": 2,\n      "score": 0.0003679380652956615,\n'
+    b'    {\n      "i": 0,\n      "j": 2,\n      "score": 0.00036793806529566227,\n'
     b'      "decision": false\n    },\n'
-    b'    {\n      "i": 1,\n      "j": 2,\n      "score": 0.13877572447882502,\n'
+    b'    {\n      "i": 1,\n      "j": 2,\n      "score": 0.1387757244788251,\n'
     b'      "decision": true\n    }\n  ]\n}\n'
 )
 # 601 samples of 3 nodes with Rademacher noise: 46,870 bytes, too many to
@@ -745,6 +754,24 @@ class TestEntryPoint:
     def test_missing_subcommand_exits_via_argparse(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--graph", "g.edges", "--policy", "metropolis", "--rho", "0.8",
+             "--s", "0-2", "--out", "o", "--burn", "1000"],
+            ["estimate", "--graph", "g.edges", "--policy", "metropolis", "--rho", "0.8",
+             "--s", "0-2", "--out", "o", "--mod", "analytic"],
+            ["recovery-prob", "--config", "c.json", "--out", "o", "--thread", "2"],
+            ["theory-check", "--rho", "0.8", "--mult", "5"],
+        ],
+    )
+    def test_abbreviated_flags_exit_2(self, capsys, argv):
+        # a unique prefix of a flag is not read as the flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_installed_script_runs(self):
         proc = subprocess.run(

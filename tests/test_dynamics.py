@@ -2,6 +2,7 @@
 
 import importlib.machinery
 import io
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from tomolab.dynamics import (
     _UNIFORM_HALF_WIDTH,
     _UNROLL_BYTES,
     chebyshev_depth,
+    moment_degree,
     unroll_depth,
 )
 from conftest import csr_view, random_observed_network, same_bits, traced_peak, unchecked_weights
@@ -55,28 +57,28 @@ def cholesky_correlations(a, beta, s):
     return r0_full[sub], r1_full[sub]
 
 
-def scipy_chebyshev_correlations(a, beta, s):
-    """The Chebyshev solve with scipy's ``@`` on a view of the weights."""
-    A = csr_view(a)
+def scipy_moment_correlations(a, beta, s):
+    """The Chebyshev moment sums with scipy's ``@`` on a view of the weights."""
+    rho = a.rho_bound
+    q = math.sqrt(1.0 - rho * rho)
+    r = (1.0 - q) / rho
+    twice = csr_view(a) * (2.0 / rho)
     idx = s.indices()
-    rho2 = a.rho_bound * a.rho_bound
-    theta = 1.0 - 0.5 * rho2
-    delta = 0.5 * rho2
-    sigma = theta / delta
-    r = np.zeros((a.n, len(idx)))
-    r[idx, np.arange(len(idx))] = 1.0
-    x = np.zeros_like(r)
-    d = r / theta
-    ratio = 1.0 / sigma
-    for _ in range(chebyshev_depth(a.rho_bound)):
-        x += d
-        r -= d - A @ (A @ d)
-        nxt = 1.0 / (2.0 * sigma - ratio)
-        d = (nxt * ratio) * d + (2.0 * nxt / delta) * r
-        ratio = nxt
-    cols = beta * beta * x
-    r0 = cols[idx]
-    return 0.5 * (r0 + r0.T), A[idx] @ cols
+    k = len(idx)
+    prev = np.zeros((a.n, k))
+    prev[idx, np.arange(k)] = 1.0
+    cur = 0.5 * (twice @ prev)
+    mu1 = cur[idx]
+    eye = np.eye(k)
+    r0 = eye / q
+    r1 = (2.0 * r / q) * mu1
+    for j in range(1, moment_degree(rho) // 2 + 1):
+        prev, cur = cur, twice @ cur - prev
+        coef = 2.0 * r ** (2 * j) / q
+        r0 = r0 + coef * (2.0 * (prev.T @ prev) - eye)
+        r1 = r1 + (coef * r) * (2.0 * (cur.T @ prev) - mu1)
+    r0 = r0 * (beta * beta)
+    return 0.5 * (r0 + r0.T), r1 * (beta * beta)
 
 
 def _noise_block(rng, kind, rows, n):
@@ -227,7 +229,7 @@ class TestAnalytic:
             sets = (s, NodeSet((s[0],)))
             got = [analytic_correlations(a, 0.6, nodes) for nodes in sets]
             for nodes, corr in zip(sets, got):
-                want_r0, want_r1 = scipy_chebyshev_correlations(a, 0.6, nodes)
+                want_r0, want_r1 = scipy_moment_correlations(a, 0.6, nodes)
                 assert same_bits(corr.r0, want_r0)
                 assert same_bits(corr.r1, want_r1)
 
@@ -244,7 +246,7 @@ class TestAnalytic:
         a = CombinationMatrix(w, 0.7)
         for nodes in (NodeSet((0, 2, 3)), NodeSet((1,)), full_set(a)):
             corr = analytic_correlations(a, 0.6, nodes)
-            want_r0, want_r1 = scipy_chebyshev_correlations(a, 0.6, nodes)
+            want_r0, want_r1 = scipy_moment_correlations(a, 0.6, nodes)
             assert same_bits(corr.r0, want_r0)
             assert same_bits(corr.r1, want_r1)
 
@@ -260,6 +262,38 @@ class TestAnalytic:
             assert 2 * q ** (k - 1) * kappa > eps
         with pytest.raises(ValueError, match="rho"):
             chebyshev_depth(1.0)
+
+    def test_moment_degree_from_rho_bound(self):
+        rhos = (0.5, 0.8, 0.95, 0.99, 0.999)
+        assert [moment_degree(rho) for rho in rhos] == [28, 54, 121, 286, 960]
+        eps = np.finfo(np.float64).eps
+        for rho in (0.3,) + rhos:
+            d = moment_degree(rho)
+            q = math.sqrt(1 - rho * rho)
+            r = (1 - q) / rho
+            tail = lambda degree: 2 / q * r ** (degree + 1) / (1 - r)
+            assert tail(d) <= eps < tail(d - 1)
+        with pytest.raises(ValueError, match="rho"):
+            moment_degree(1.0)
+
+    @pytest.mark.parametrize(
+        "rho, products", [(0.5, 15), (0.8, 28), (0.95, 61), (0.99, 144), (0.999, 481)]
+    )
+    def test_one_sparse_product_per_moment_pair(self, rho, products, monkeypatch):
+        # floor(D / 2) + 1 products with A, half those of a Chebyshev solve
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return product(*args)
+
+        product = dynamics._product
+        monkeypatch.setattr(dynamics, "_product", counted)
+        a = build_matrix(ring_graph(6), PolicyParams(CombinationRule.METROPOLIS, rho))
+        analytic_correlations(a, 0.3, NodeSet((0, 3)))
+        assert len(calls) == moment_degree(rho) // 2 + 1 == products
+        # a Chebyshev solve to eps takes two products in each of its steps
+        assert products == chebyshev_depth(rho)
 
     def test_non_finite_weights_raise_numeric_error(self):
         a = unchecked_weights([[np.nan, 0.0], [0.0, 0.1]], 0.5)

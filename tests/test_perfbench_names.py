@@ -1,20 +1,30 @@
-"""The names that the benchmark in ``perfbench/`` reaches in tomolab exist.
+"""The benchmark in ``perfbench/`` still fits tomolab.
 
 ``perfbench/tracer.py`` wraps the functions listed in its ``TARGETS`` and
 ``perfbench/child.py`` imports names from ``tomolab``.  A deletion that
 breaks either would otherwise first show when the traced benchmark runs.
-Both files are only read here: the tracer's source is executed into a
-fresh module, so no bytecode is written next to it, and the child is
-parsed with ``ast``.
+The traced run also fails when a span group that a workload declares in
+``perfbench/run.py`` as firing stays silent, or a silent one fires; each
+workload runs here once, shrunk, under the tracer, to catch that early.
+The files under ``perfbench/`` are only read: the tracer's source is
+executed into a fresh module, the child is parsed with ``ast``, and the
+shrunk workloads run in interpreters that write no bytecode.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load_tracer():
@@ -66,3 +76,45 @@ def test_child_imports_exist():
     for name in [*imported.values(), *used]:
         module, _, path = name.partition(".")
         _lookup(module, path)
+
+
+# Runs one workload of perfbench/run.py, shrunk, through run.py's own traced
+# driver run (a perfbench/child.py process under perfbench/tracer.py's
+# Tracer), then applies run.py's span checks to it.
+_SPAN_SCRIPT = """
+import dataclasses, json, sys
+from pathlib import Path
+perfbench, name, work = sys.argv[1:]
+sys.path.insert(0, perfbench)
+import run
+
+wl = run.WORKLOADS[name]
+wl = dataclasses.replace(wl, n=min(wl.n, 300), trials=1, calls=1)
+cfg = wl.config(0)
+for section in ("correlations", "sim"):
+    if "n_max" in cfg.get(section, {}):
+        cfg[section].update(n_max=500, burn_in=50)
+(Path(work) / "config.json").write_text(json.dumps(cfg))
+traced = run.driver_run(wl, Path(work), 0, traced=True)
+assert not traced.problems, traced.problems
+run.trace_checks(wl, [traced])
+"""
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]],
+)
+def test_traced_workload_keeps_its_span_contract(workload, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "TOMOLAB_THREADS"}
+    env.update(
+        PYTHONPATH=str(ROOT / "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAN_SCRIPT, str(PERFBENCH), workload, str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
