@@ -18,10 +18,13 @@ sparse products on the ``|S|`` columns of the observable set only, since
 ``T_2j = 2 T_j^2 - I`` and ``T_2j+1 = 2 T_j+1 T_j - T_1`` (Weisse, Wellein,
 Alvermann and Fehske, Rev. Mod. Phys. 78, 275, 2006).  The cost is
 ``O((nnz(A) + N |S|) |S| / sqrt(1 - rho))`` time and ``O(N |S|)`` memory,
-against ``O(N^3)`` and ``O(N^2)`` for a dense solve.
-:func:`tomolab.inference.error_matrix`, whose operator ``I - B_{S'}`` is no
-function of ``A`` alone, solves with Chebyshev semi-iteration
-(:func:`_chebyshev_solve`, :func:`chebyshev_depth`) instead.
+against ``O(N^3)`` and ``O(N^2)`` for a dense solve.  Both functions are
+parts of one simple pole, ``(1 / rho) / (1 / rho - t)``, and
+:func:`_pole_series` gives the coefficients and the degree of any
+``scale / (x0 - t)``.  :func:`tomolab.inference.error_matrix` sums the same
+series for ``(I - B_{S'})^{-1}``, whose operator is no function of ``A``
+alone: there the series is applied to the columns themselves, not summed
+as bilinear moments.
 
 The simulated path steps ``y <- A y + beta x`` with the CSR ``A``, in
 ``O(nnz(A))`` per step, and never builds the dense matrix.  It steps over
@@ -149,42 +152,35 @@ class CorrelationSet:
         return CorrelationSet(self.r0[sub], self.r1[sub], self.sample_count, nodes)
 
 
-def chebyshev_depth(rho: float) -> int:
-    """Chebyshev steps ``K`` that solve ``(I - A^2) x = b`` to ``eps ||b||``.
+def _pole_series(x0: float, scale: float) -> tuple[int, float, float]:
+    """Chebyshev series of ``scale / (x0 - t)`` on ``[-1, 1]``, ``x0 > 1``.
 
-    With ``kappa = 1 / (1 - rho^2)`` and
-    ``q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)``, the error after ``K``
-    steps from ``x = 0`` is at most ``2 q^K kappa ||b||``, so
-    ``K = ceil(log(eps / (2 kappa)) / log q)``: 15, 28, 61, 144 and 481 at
-    ``rho`` = 0.5, 0.8, 0.95, 0.99 and 0.999.  ``K`` grows like
-    ``1 / sqrt(1 - rho)`` as ``rho`` approaches 1.
+    With ``s = sqrt(x0^2 - 1)`` and ``r = x0 - s = 1 / (x0 + s)``, the
+    coefficients are ``c0 = scale / s`` at ``k = 0`` and ``2 c0 r^k``
+    after.  ``|T_k(t)| <= 1`` on ``[-1, 1]``, so the terms past ``D`` add at
+    most ``2 c0 r^(D + 1) / (1 - r)``.  Returns ``(D, c0, r)`` with ``D``
+    the smallest degree that puts this tail at eps.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
     eps = np.finfo(np.float64).eps
-    kappa = 1.0 / (1.0 - rho * rho)
-    root = math.sqrt(kappa)
-    q = (root - 1.0) / (root + 1.0)
-    return math.ceil(math.log(eps / (2.0 * kappa)) / math.log(q))
+    s = math.sqrt((x0 - 1.0) * (x0 + 1.0))
+    c0 = scale / s
+    r = 1.0 / (x0 + s)
+    return math.ceil(math.log(eps * (1.0 - r) / (2.0 * c0)) / math.log(r)) - 1, c0, r
 
 
 def moment_degree(rho: float) -> int:
     """Chebyshev degree ``D`` that truncates the exact correlations below eps.
 
-    With ``q = sqrt(1 - rho^2)`` and ``r = (1 - q) / rho``, the expansions
-    of ``1 / (1 - rho^2 t^2)`` and ``rho t / (1 - rho^2 t^2)`` in
-    ``T_k(t)`` have coefficients ``1 / q`` at ``k = 0`` and ``2 r^k / q``
-    after.  ``|T_k(t)| <= 1`` on ``[-1, 1]``, so the terms past ``D`` add
-    at most ``(2 / q) r^(D + 1) / (1 - r)``; ``D`` is the smallest degree
-    that puts this tail at eps: 28, 54, 121, 286 and 960 at ``rho`` = 0.5,
-    0.8, 0.95, 0.99 and 0.999.
+    ``1 / (1 - rho^2 t^2)`` and ``rho t / (1 - rho^2 t^2)`` are the even
+    and odd parts of ``(1 / rho) / (1 / rho - t)``, so their coefficients
+    and ``D`` are those of :func:`_pole_series` at ``x0 = scale = 1 / rho``:
+    ``1 / q`` at ``k = 0`` and ``2 r^k / q`` after, with
+    ``q = sqrt(1 - rho^2)`` and ``r = (1 - q) / rho``.  ``D`` is 28, 54,
+    121, 286 and 960 at ``rho`` = 0.5, 0.8, 0.95, 0.99 and 0.999.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    eps = np.finfo(np.float64).eps
-    q = math.sqrt(1.0 - rho * rho)
-    r = (1.0 - q) / rho
-    return math.ceil(math.log(eps * q * (1.0 - r) / 2.0) / math.log(r)) - 1
+    return _pole_series(1.0 / rho, 1.0 / rho)[0]
 
 
 def _product(a: CombinationMatrix, x: np.ndarray, out: np.ndarray, data=None) -> np.ndarray:
@@ -201,47 +197,6 @@ def _product(a: CombinationMatrix, x: np.ndarray, out: np.ndarray, data=None) ->
     return out
 
 
-def _chebyshev_solve(apply, rhs: np.ndarray, rho: float) -> np.ndarray:
-    """Solve ``(I - M) X = rhs`` by Chebyshev semi-iteration; ``apply(d)`` is ``M d``.
-
-    The spectrum of symmetric ``M`` must lie in ``[0, rho^2]``, so that
-    of ``I - M`` lies in ``[1 - rho^2, 1]``.  After
-    ``K = chebyshev_depth(rho)`` steps each column of ``X`` is within
-    ``2 q^K kappa <= eps`` of the exact solution, relative to its
-    right-hand side, in 2-norm.  ``rhs`` is overwritten with the residual.
-    A non-finite result raises :class:`NumericError`.  It serves
-    :func:`tomolab.inference.error_matrix`, whose ``M = B_{S'}`` is no
-    function of ``A`` alone, so the moments of
-    :func:`analytic_correlations` do not apply.
-
-    ``apply`` returns an array that the solver may overwrite: it is scratch
-    until the next call, and it must alias neither ``d`` nor ``rhs``.  The
-    in-place step does the operations of ``r -= d - M d`` and
-    ``d = c1 d + c2 r`` in their order, so it rounds as they do.
-    """
-    rho2 = rho * rho
-    theta = 1.0 - 0.5 * rho2
-    delta = 0.5 * rho2
-    sigma = theta / delta
-    r = rhs
-    x = np.zeros_like(r)
-    d = r / theta
-    ratio = 1.0 / sigma
-    for _ in range(chebyshev_depth(rho)):
-        x += d
-        md = apply(d)
-        np.subtract(d, md, out=md)
-        r -= md
-        nxt = 1.0 / (2.0 * sigma - ratio)
-        d *= nxt * ratio
-        np.multiply(r, 2.0 * nxt / delta, out=md)
-        d += md
-        ratio = nxt
-    if not np.isfinite(x).all():
-        raise NumericError("the Chebyshev solve is not finite")
-    return x
-
-
 def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> CorrelationSet:
     """Exact stationary correlations on ``s``, to double precision.
 
@@ -254,9 +209,8 @@ def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> Corr
     ``V_{j+1} = 2 A_hat V_j - V_{j-1}``, one sparse product each, and give
     two moments each: ``mu_2j = 2 V_j^T V_j - I`` and
     ``mu_2j+1 = 2 V_{j+1}^T V_j - mu_1``.  Moments up to
-    ``2 floor(D / 2) + 1 >= D`` take ``floor(D / 2) + 1`` products with
-    ``D = moment_degree(a.rho_bound)``: half the products of a Chebyshev
-    solve of ``(I - A^2) X = E_S`` to the same precision.  ``2 A_hat``
+    ``D = moment_degree(a.rho_bound)`` take ``ceil(D / 2)`` products: at
+    even ``D`` the last one, ``mu_D``, needs no ``V_{D/2+1}``.  ``2 A_hat``
     is one copy of ``A``'s values times ``2 / rho``.  Cost:
     ``O(D (nnz(A) + N |S|) |S|)`` time, three ``N x |S|`` arrays.
     """
@@ -266,8 +220,7 @@ def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> Corr
     idx = s.indices()
     n, k = a.n, len(idx)
     rho = a.rho_bound
-    q = math.sqrt(1.0 - rho * rho)
-    r = (1.0 - q) / rho
+    d, c0, r = _pole_series(1.0 / rho, 1.0 / rho)
     twice = a.data * (2.0 / rho)
     prev, cur, nxt = np.zeros((n, k)), np.empty((n, k)), np.empty((n, k))
     prev[idx, np.arange(k)] = 1.0
@@ -275,15 +228,17 @@ def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> Corr
     cur *= 0.5
     mu1 = cur[idx]
     eye = np.eye(k)
-    r0 = eye / q
-    r1 = (2.0 * r / q) * mu1
-    for j in range(1, moment_degree(rho) // 2 + 1):
+    r0 = c0 * eye
+    r1 = (2.0 * c0 * r) * mu1
+    for j in range(1, d // 2 + 1):
+        # cur is V_j and prev V_{j-1}
+        coef = 2.0 * c0 * r ** (2 * j)
+        r0 += coef * (2.0 * (cur.T @ cur) - eye)
+        if 2 * j == d:
+            break
         _product(a, cur, nxt, twice)
         nxt -= prev
         prev, cur, nxt = cur, nxt, prev
-        # prev is V_j and cur V_{j+1}
-        coef = 2.0 * r ** (2 * j) / q
-        r0 += coef * (2.0 * (prev.T @ prev) - eye)
         r1 += (coef * r) * (2.0 * (cur.T @ prev) - mu1)
     r0 *= beta * beta
     r1 *= beta * beta

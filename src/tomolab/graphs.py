@@ -584,7 +584,11 @@ def save_edge_list(g: Graph, dest: str | TextIO) -> None:
 
 
 def load_edge_list(src: str | TextIO) -> Graph:
-    """Inverse of :func:`save_edge_list`."""
+    """Inverse of :func:`save_edge_list`.
+
+    A header with no positive node count, or a line that is not two
+    integers, raises ``ValueError`` naming it.
+    """
     if isinstance(src, str):
         with open(src, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -595,12 +599,15 @@ def load_edge_list(src: str | TextIO) -> Graph:
         raise ValueError("edge list must start with an 'n=<N>' header")
     try:
         n = int(lines[0][2:])
-    except ValueError as exc:
-        raise ValueError(f"bad node count in header: {lines[0]!r}") from exc
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"bad node count in header: {lines[0]!r}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            i, j = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line: {ln!r}") from None
+        edges.append((i, j))
     return from_edges(n, edges)

@@ -67,7 +67,8 @@ class CombinationMatrix:
     dense input is validated with numpy and keeps its nonzero entries; a
     sparse one (any object with ``tocsr``, whose creator has loaded scipy)
     is validated with scipy and keeps its stored entries, explicit zeros
-    included, with duplicates summed.  Either way the weights are kept as
+    included, with duplicates summed.  Non-finite entries are refused
+    before any other check.  Either way the weights are kept as
     CSR arrays ``indptr``/``indices``/``data`` of one index dtype, all
     read-only.
     """
@@ -89,7 +90,10 @@ class CombinationMatrix:
             rows, cols = np.nonzero(m)
             indptr, indices = _compressed(np.bincount(rows, minlength=len(m)), cols)
             self._store(indptr, indices, m[rows, cols], rho_bound, m)
-        # m is the dense array or the scipy matrix; both take these checks
+        # m is the dense array or the scipy matrix; both take these checks,
+        # and NaN, which fails every comparison, must not reach them
+        if not np.isfinite(self.data).all():
+            raise ValueError("combination matrix entries must be finite")
         if m.shape[0] != m.shape[1]:
             raise ValueError("entries must form a square matrix")
         if not 0.0 < rho_bound < 1.0:

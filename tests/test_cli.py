@@ -589,9 +589,9 @@ GOLDEN_THEORY = (
     b"1000000.0,2,4.309988795335387,120138.19312464526\r\n"
 )
 GOLDEN_A_HAT = (
-    b"0.5053868197323235,0.1495341814849272,0.0007358761305913138\n"
-    b"0.1557486060452476,0.179576351476076,0.1442181156243168\n"
-    b"1.0726142096736705e-17,0.13333333333333341,0.6666666666666666\n"
+    b"0.5053868197323232,0.1495341814849272,0.000735876130591291\n"
+    b"0.1557486060452475,0.179576351476076,0.14421811562431677\n"
+    b"-9.743913925549442e-18,0.1333333333333333,0.6666666666666667\n"
 )
 # the same network's empirical estimate at n_max 500, seed 3, with burn-in
 # 1000 and gaussian noise (the defaults when neither flag is given)
@@ -622,11 +622,11 @@ GOLDEN_RECOVERY_JSON = (
 GOLDEN_CLASSIFICATION = (
     b'{\n  "schema": 1,\n  "n": 12,\n  "observable": [\n    0,\n    1,\n    2\n  ],\n'
     b'  "pairs": [\n'
-    b'    {\n      "i": 0,\n      "j": 1,\n      "score": 0.1526413937650874,\n'
+    b'    {\n      "i": 0,\n      "j": 1,\n      "score": 0.15264139376508734,\n'
     b'      "decision": true\n    },\n'
-    b'    {\n      "i": 0,\n      "j": 2,\n      "score": 0.00036793806529566227,\n'
+    b'    {\n      "i": 0,\n      "j": 2,\n      "score": 0.00036793806529564064,\n'
     b'      "decision": false\n    },\n'
-    b'    {\n      "i": 1,\n      "j": 2,\n      "score": 0.1387757244788251,\n'
+    b'    {\n      "i": 1,\n      "j": 2,\n      "score": 0.13877572447882502,\n'
     b'      "decision": true\n    }\n  ]\n}\n'
 )
 # 601 samples of 3 nodes with Rademacher noise: 46,870 bytes, too many to

@@ -33,7 +33,7 @@ from tomolab.dynamics import (
     _MAX_UNROLL,
     _UNIFORM_HALF_WIDTH,
     _UNROLL_BYTES,
-    chebyshev_depth,
+    _pole_series,
     moment_degree,
     unroll_depth,
 )
@@ -60,8 +60,7 @@ def cholesky_correlations(a, beta, s):
 def scipy_moment_correlations(a, beta, s):
     """The Chebyshev moment sums with scipy's ``@`` on a view of the weights."""
     rho = a.rho_bound
-    q = math.sqrt(1.0 - rho * rho)
-    r = (1.0 - q) / rho
+    d, c0, r = _pole_series(1.0 / rho, 1.0 / rho)
     twice = csr_view(a) * (2.0 / rho)
     idx = s.indices()
     k = len(idx)
@@ -70,12 +69,14 @@ def scipy_moment_correlations(a, beta, s):
     cur = 0.5 * (twice @ prev)
     mu1 = cur[idx]
     eye = np.eye(k)
-    r0 = eye / q
-    r1 = (2.0 * r / q) * mu1
-    for j in range(1, moment_degree(rho) // 2 + 1):
+    r0 = c0 * eye
+    r1 = (2.0 * c0 * r) * mu1
+    for j in range(1, d // 2 + 1):
+        coef = 2.0 * c0 * r ** (2 * j)
+        r0 = r0 + coef * (2.0 * (cur.T @ cur) - eye)
+        if 2 * j == d:
+            break
         prev, cur = cur, twice @ cur - prev
-        coef = 2.0 * r ** (2 * j) / q
-        r0 = r0 + coef * (2.0 * (prev.T @ prev) - eye)
         r1 = r1 + (coef * r) * (2.0 * (cur.T @ prev) - mu1)
     r0 = r0 * (beta * beta)
     return 0.5 * (r0 + r0.T), r1 * (beta * beta)
@@ -250,19 +251,6 @@ class TestAnalytic:
             assert same_bits(corr.r0, want_r0)
             assert same_bits(corr.r1, want_r1)
 
-    def test_chebyshev_depth_from_rho_bound(self):
-        rhos = (0.5, 0.8, 0.95, 0.99, 0.999)
-        assert [chebyshev_depth(rho) for rho in rhos] == [15, 28, 61, 144, 481]
-        eps = np.finfo(np.float64).eps
-        for rho in (0.3,) + rhos:
-            k = chebyshev_depth(rho)
-            kappa = 1 / (1 - rho * rho)
-            q = (np.sqrt(kappa) - 1) / (np.sqrt(kappa) + 1)
-            assert 2 * q**k * kappa <= eps
-            assert 2 * q ** (k - 1) * kappa > eps
-        with pytest.raises(ValueError, match="rho"):
-            chebyshev_depth(1.0)
-
     def test_moment_degree_from_rho_bound(self):
         rhos = (0.5, 0.8, 0.95, 0.99, 0.999)
         assert [moment_degree(rho) for rho in rhos] == [28, 54, 121, 286, 960]
@@ -277,10 +265,10 @@ class TestAnalytic:
             moment_degree(1.0)
 
     @pytest.mark.parametrize(
-        "rho, products", [(0.5, 15), (0.8, 28), (0.95, 61), (0.99, 144), (0.999, 481)]
+        "rho, products", [(0.5, 14), (0.8, 27), (0.95, 61), (0.99, 143), (0.999, 480)]
     )
     def test_one_sparse_product_per_moment_pair(self, rho, products, monkeypatch):
-        # floor(D / 2) + 1 products with A, half those of a Chebyshev solve
+        # ceil(D / 2) products with A: each gives the moments mu_2j and mu_2j+1
         calls = []
 
         def counted(*args):
@@ -291,9 +279,7 @@ class TestAnalytic:
         monkeypatch.setattr(dynamics, "_product", counted)
         a = build_matrix(ring_graph(6), PolicyParams(CombinationRule.METROPOLIS, rho))
         analytic_correlations(a, 0.3, NodeSet((0, 3)))
-        assert len(calls) == moment_degree(rho) // 2 + 1 == products
-        # a Chebyshev solve to eps takes two products in each of its steps
-        assert products == chebyshev_depth(rho)
+        assert len(calls) == math.ceil(moment_degree(rho) / 2) == products
 
     def test_non_finite_weights_raise_numeric_error(self):
         a = unchecked_weights([[np.nan, 0.0], [0.0, 0.1]], 0.5)
@@ -306,8 +292,8 @@ class TestAnalytic:
             analytic_correlations(a, 1e200, NodeSet((0,)))
 
     def test_peak_memory(self):
-        # the solve holds five N x |S| arrays (the residual, x, the direction
-        # and the two product buffers), and its steps allocate none
+        # the moment sums hold three N x |S| arrays, and their steps allocate
+        # none of that size
         n = 3000
         a = build_matrix(ring_graph(n), MET)
         s = NodeSet(tuple(range(0, n, 300)))

@@ -522,13 +522,22 @@ class TestEdgeListIO:
         save_edge_list(from_edges(3, [(0, 2)]), buf)
         assert buf.getvalue() == "n=3\n0 2\n"
 
-    def test_header_required(self):
-        with pytest.raises(ValueError, match="header"):
-            load_edge_list(io.StringIO("0 1\n"))
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("0 1\n", "header"),
+            ("n=0\n", "bad node count in header: 'n=0'"),
+            ("n=-1\n0 1\n", "bad node count in header: 'n=-1'"),
+        ],
+    )
+    def test_header_required(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            load_edge_list(io.StringIO(text))
 
-    def test_bad_edge_line(self):
-        with pytest.raises(ValueError, match="edge line"):
-            load_edge_list(io.StringIO("n=3\n0 1 2\n"))
+    @pytest.mark.parametrize("line", ["0 1 2", "0 x"])
+    def test_bad_edge_line(self, line):
+        with pytest.raises(ValueError, match=f"bad edge line: '{line}'"):
+            load_edge_list(io.StringIO(f"n=3\n{line}\n"))
 
 
 # Dense oracles: the adjacency-matrix constructions the CSR builders replaced.

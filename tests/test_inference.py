@@ -27,16 +27,21 @@ from tomolab import (
     classification_report,
     classify_kmeans2,
     classify_threshold,
+    complete_graph,
     edgeless_graph,
     error_matrix,
+    from_edges,
     granger_truncated,
     h_entry_bound_check,
+    ring_graph,
     sample_er,
     sample_partial_er,
     subgraph,
     symmetrize,
     two_means_1d,
 )
+from tomolab import inference
+from tomolab.dynamics import _pole_series
 from tomolab.inference import _solve_estimator
 from conftest import random_observed_network, same_csr, unchecked_weights
 
@@ -63,7 +68,75 @@ class TestFullRecovery:
             assert np.abs(granger_truncated(corr) - a.entries).max() < 1e-9
 
 
+@st.composite
+def observed_networks(draw):
+    """``(edges, n, s, params)``: a graph of at most 40 nodes, observed and weighted.
+
+    The graph is an ER draw (often disconnected), a star, a complete
+    graph or edgeless; at least one node is hidden, and one observed node
+    may lose all of its edges.
+    """
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["er", "star", "complete", "edgeless"]))
+    if kind == "er":
+        g = sample_er(n, draw(st.sampled_from([0.05, 0.15, 0.4])), rng)
+    elif kind == "star":
+        g = from_edges(n, [(0, i) for i in range(1, n)])
+    else:
+        g = complete_graph(n) if kind == "complete" else edgeless_graph(n)
+    size = draw(st.integers(1, n - 1))
+    s = NodeSet(tuple(sorted(int(u) for u in rng.choice(n, size=size, replace=False))))
+    edges = np.argwhere(np.triu(g.adjacency, 1))
+    if draw(st.booleans()):
+        edges = edges[(edges != s[0]).all(axis=1)]
+    rule = draw(st.sampled_from(list(CombinationRule)))
+    lam = draw(st.sampled_from([0.5, 1.0])) if rule is CombinationRule.LAPLACIAN else 1.0
+    params = PolicyParams(rule, rho=draw(st.sampled_from([0.5, 0.8, 0.95])), lam=lam)
+    return edges, n, s, params
+
+
+class TestErrorProperties:
+    @given(observed_networks(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_decomposition_sign_and_hidden_labels(self, net, random):
+        edges, n, s, params = net
+        a = build_matrix(from_edges(n, edges), params)
+        arts = error_matrix(a, s)
+        a_hat = granger_truncated(analytic_correlations(a, 1.0, s))
+        assert np.abs(a_hat - (arts.a_s_true + arts.e_s)).max() <= 1e-12
+        assert arts.e_s.min() >= -1e-12
+        # relabel the hidden nodes among themselves; S keeps its labels
+        hidden = [u for u in range(n) if u not in s]
+        label = np.arange(n)
+        label[hidden] = random.sample(hidden, len(hidden))
+        moved = build_matrix(from_edges(n, label[edges]), params)
+        scale = 1e-12 * np.abs(a_hat).max()
+        assert np.abs(error_matrix(moved, s).e_s - arts.e_s).max() <= scale
+        moved_hat = granger_truncated(analytic_correlations(moved, 1.0, s))
+        assert np.abs(moved_hat - a_hat).max() <= scale
+
+
 class TestTruncationError:
+    @pytest.mark.parametrize(
+        "rho, degree, products",
+        [(0.5, 14, 31), (0.8, 27, 57), (0.95, 59, 121), (0.99, 141, 285), (0.999, 472, 947)],
+    )
+    def test_degree_and_product_count(self, rho, degree, products, monkeypatch):
+        # A E_S, B_{S'S} and A_{SS'} X take one product each, every degree two
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return product(*args)
+
+        product = inference._product
+        monkeypatch.setattr(inference, "_product", counted)
+        a = build_matrix(ring_graph(6), PolicyParams(CombinationRule.METROPOLIS, rho))
+        error_matrix(a, NodeSet((0, 3)))
+        assert _pole_series(2.0 / (rho * rho) - 1.0, 2.0 / (rho * rho))[0] == degree
+        assert len(calls) == 2 * degree + 3 == products
+
     def test_estimator_decomposition(self):
         rng = np.random.default_rng(63)
         for _ in range(30):

@@ -191,6 +191,9 @@ class TestSparseBuilders:
             ([[0.1, -0.05], [-0.05, 0.1]], "non-negative"),
             ([[0.5, 0.4], [0.4, 0.5]], "row sums"),
             ([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]], "square"),
+            ([[np.nan, 0.1], [0.1, 0.2]], "finite"),
+            ([[0.3, np.nan], [np.nan, 0.2]], "finite"),
+            ([[np.inf, 0.1], [0.1, 0.2]], "finite"),
         ],
     )
     def test_sparse_input_rejects_what_dense_input_rejects(self, m, match):
