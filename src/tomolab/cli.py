@@ -51,30 +51,37 @@ _S_SIZE = 10
 _N_MAX = 100000
 
 
-def parse_node_range(text: str) -> NodeSet:
-    """Parse ``0-9`` / ``0,3,7`` / mixed ``0-4,8`` node specifications."""
-    ids: set[int] = set()
+def parse_node_range(text: str, n: int) -> NodeSet:
+    """Parse ``0-9`` / ``0,3,7`` / mixed ``0-4,8`` ids of an ``n``-node graph.
+
+    The largest id is checked against ``n`` before any range is expanded.
+    """
+    bounds: list[tuple[int, int]] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError as exc:
-                raise ConfigError(f"bad node range {part!r}") from exc
-            if hi_i < lo_i:
-                raise ConfigError(f"empty node range {part!r}")
-            ids.update(range(lo_i, hi_i + 1))
-        else:
-            try:
-                ids.add(int(part))
-            except ValueError as exc:
-                raise ConfigError(f"bad node id {part!r}") from exc
-    if not ids:
+        lo, dash, hi = part.partition("-")
+        try:
+            lo_i = int(lo)
+            hi_i = int(hi) if dash else lo_i
+        except ValueError as exc:
+            raise ConfigError(f"bad node {'range' if dash else 'id'} {part!r}") from exc
+        if hi_i < lo_i:
+            raise ConfigError(f"empty node range {part!r}")
+        bounds.append((lo_i, hi_i))
+    if not bounds:
         raise ConfigError(f"no node ids in {text!r}")
-    return NodeSet.of(ids)
+    top = max(hi for _, hi in bounds)
+    if top >= n:
+        raise ConfigError(f"node id {top} out of range for a {n}-node graph")
+    return NodeSet(np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in bounds])))
+
+
+def _seed(value: int, name: str) -> int:
+    if value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value}")
+    return value
 
 
 def _option_float(text: str, option: str) -> float:
@@ -196,11 +203,14 @@ def _matrix_csv(m: np.ndarray) -> str:
 
 
 def _cmd_generate(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     size = _S_SIZE if args.s_size is None else args.s_size
     if not args.s and size < 1:
         raise ConfigError(f"--s-size must be at least 1, got {size}")
     rng = np.random.default_rng(args.seed)
-    s = parse_node_range(args.s) if args.s else NodeSet(tuple(range(size)))
+    # --s-size k observes the range 0-(k-1)
+    s = parse_node_range(args.s or f"0-{size - 1}", args.n)
     kind, _, arg = args.embedded.partition(":")
     if kind == "file":
         src = EmbeddedSource("explicit", graph=load_edge_list(arg))
@@ -231,8 +241,7 @@ def _network_from_args(args):
                 raise ConfigError(f"--{flag.replace('_', '-')} applies to --mode empirical only")
     g = load_edge_list(args.graph)
     policy = PolicyParams(CombinationRule(args.policy), args.rho, args.lam)
-    s = parse_node_range(args.s)
-    s.check_within(g.n)
+    s = parse_node_range(args.s, g.n)
     beta = policy.default_beta if args.beta is None else args.beta
     sim = None
     if args.mode == "empirical":
@@ -291,7 +300,7 @@ def _cmd_recovery_prob(args) -> int:
     if mode not in ("analytic", "empirical"):
         raise ConfigError(f"unknown correlation mode {mode!r}")
     sim = _sim(corr, policy) if mode == "empirical" else None
-    seed = cfg.get("seed", int, 0)
+    seed = _seed(cfg.get("seed", int, 0), f"field 'seed' in {cfg.where}")
     experiment = ExperimentConfig(
         n_grid=tuple(n_grid),
         c_rule=_c_rule(cfg.section("c_rule")),
@@ -322,7 +331,7 @@ def _cmd_recovery_prob(args) -> int:
 def _cmd_patch_catch(args) -> int:
     cfg = _Fields(_load_config(args.config), args.config)
     policy = _policy(cfg.section("policy"))
-    seed = cfg.get("seed", int, 0)
+    seed = _seed(cfg.get("seed", int, 0), f"field 'seed' in {cfg.where}")
     experiment = PatchCatchConfig(
         n=cfg.get("n", int),
         c_rule=_c_rule(cfg.section("c_rule")),
@@ -453,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # None keeps the config's seed
+            _seed(args.seed, "--seed")
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

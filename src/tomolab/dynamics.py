@@ -104,8 +104,8 @@ class SimConfig:
     noise: NoiseKind = NoiseKind.GAUSSIAN
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be a finite positive number, got {self.beta}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be at least 1, got {self.n_max}")
         if self.burn_in < 0:
@@ -214,8 +214,8 @@ def analytic_correlations(a: CombinationMatrix, beta: float, s: NodeSet) -> Corr
     is one copy of ``A``'s values times ``2 / rho``.  Cost:
     ``O(D (nnz(A) + N |S|) |S|)`` time, three ``N x |S|`` arrays.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be a finite positive number, got {beta}")
     s.check_within(a.n)
     idx = s.indices()
     n, k = a.n, len(idx)

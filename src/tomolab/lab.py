@@ -329,17 +329,18 @@ def _patch_catch_trial(cfg: PatchCatchConfig, trial: int) -> PatchCatchTrial:
     p = cfg.c_rule.p_for(cfg.n)
     s, _, g, a = _instance(cfg, cfg.n, p, derive_seed(cfg.base_seed, trial))
     plan = make_patches(s, cfg.probe_limit)
+    truth = subgraph(g, s)
     state = run_patch_catch(
         a,
         plan,
         cfg.sim,
         derive_seed(cfg.base_seed, trial, 1),
         tiebreak=cfg.tiebreak,
-        truth=subgraph(g, s),
+        truth=truth,
         shared_trajectory=cfg.shared_trajectory,
     )
     trace = [rec.distance for rec in state.experiment_log]
-    final = trace[-1] if trace else graph_distance(subgraph(g, s), state.estimated_graph())
+    final = graph_distance(truth, state.estimated_graph())
     return PatchCatchTrial(trial, final, trace)
 
 

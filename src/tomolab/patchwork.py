@@ -8,11 +8,12 @@ a growing picture of the region.  Pairs internal to a patch are probed once
 per partner patch, so a tie-break policy settles repeat appearances.
 
 The decisions are one ``|S| x |S|`` int8 matrix (``-1`` undecided, ``0``
-disconnected, ``1`` connected) with a running count of decided pairs.  A
-merge finds the union's positions in ``S`` with one sorted lookup and
-updates its block of the matrix with array operations, so no Python loop
-runs over pairs; the dict of :class:`PairStatus` values is built only when
-``status`` is read.
+disconnected, ``1`` connected).  A merge finds the union's positions in
+``S`` with one sorted lookup and updates its block of the matrix with
+array operations, so no Python loop runs over pairs; the dict of
+:class:`PairStatus` values is built only when ``status`` is read.  Given
+the true graph, a campaign records after every merge the
+:func:`graph_distance` of the estimate so far.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ class ReconstructionState:
         k = len(s)
         self._code = np.full((k, k), -1, dtype=np.int8)
         self._upper = np.triu(np.ones((k, k), dtype=bool), 1)
-        self._decided = 0
         self.experiment_log: list[ExperimentRecord] = []
 
     @property
@@ -137,7 +137,8 @@ class ReconstructionState:
         }
 
     def decided_count(self) -> int:
-        return self._decided
+        # codes are -1 off the upper triangle, so every code >= 0 is a decided pair
+        return int(np.count_nonzero(self._code >= 0))
 
     def absorb(self, union: NodeSet, decided: Graph, tiebreak: TieBreak) -> None:
         """Merge the classified subgraph on ``union`` into the pair map.
@@ -169,22 +170,11 @@ class ReconstructionState:
             merged = np.where(open_, vote, cur)
         upper = self._upper[:m, :m]
         self._code[block] = np.where(upper, merged, cur)
-        self._decided += int(np.count_nonzero(open_ & upper))
 
     def estimated_graph(self) -> Graph:
         """Current decisions as a graph on ``s``; undecided pairs stay open."""
         # codes are -1 off the upper triangle: connected flat positions are edge keys
         return _from_upper(len(self.s), np.flatnonzero(self._code == 1))
-
-    def distance(self, truth_upper: np.ndarray) -> float:
-        """``graph_distance(truth, self.estimated_graph())``, without the graph.
-
-        ``truth_upper`` is ``np.triu(truth.adjacency, 1)`` on ``s``.  The
-        code matrix is ``-1`` off the upper triangle, so its connected
-        pairs are the estimate's upper triangle.
-        """
-        diff = np.count_nonzero((self._code == 1) != truth_upper)
-        return _pair_fraction(diff, len(self.s))
 
     def undecided_pairs(self) -> list[tuple[int, int]]:
         i, j = np.nonzero(self._upper & (self._code < 0))
@@ -202,15 +192,11 @@ def graph_distance(g_true: Graph, g_est: Graph) -> float:
         raise ValueError(
             f"graph orders differ ({g_true.n} != {g_est.n}); cannot compare"
         )
-    diff = np.triu(g_true.adjacency ^ g_est.adjacency, 1).sum()
-    return _pair_fraction(diff, g_true.n)
-
-
-def _pair_fraction(count, k: int) -> float:
-    """``count`` as a fraction of the ``k (k - 1) / 2`` node pairs; 0 below two nodes."""
+    k = g_true.n
     if k < 2:
         return 0.0
-    return 2.0 * float(count) / (k * (k - 1))
+    diff = np.triu(g_true.adjacency ^ g_est.adjacency, 1).sum()
+    return 2.0 * float(diff) / (k * (k - 1))
 
 
 def run_patch_catch(
@@ -234,7 +220,8 @@ def run_patch_catch(
     union too small to split is refused before any simulation.
 
     ``truth`` (a graph on the plan's observable set, in set order) enables
-    the per-experiment distance trace.
+    the per-experiment distance trace: after each merge,
+    ``graph_distance(truth, state.estimated_graph())``.
     """
     s_all = plan.observable()
     s_all.check_within(a.n)
@@ -246,7 +233,6 @@ def run_patch_catch(
         _KMEANS2.check_observed(smallest[0] + smallest[1])
 
     state = ReconstructionState(s_all)
-    truth_upper = None if truth is None else np.triu(truth.adjacency, 1)
     shared: CorrelationSet | None = None
     if shared_trajectory and plan.patch_count > 1:
         shared = simulate_and_accumulate(a, cfg, s_all, seed)
@@ -259,7 +245,7 @@ def run_patch_catch(
             corr = simulate_and_accumulate(a, cfg, union, derive_seed(seed, exp_index))
         decided = apply_classifier(granger_truncated(corr), _KMEANS2)
         state.absorb(union, decided, tiebreak)
-        dist = None if truth_upper is None else state.distance(truth_upper)
+        dist = None if truth is None else graph_distance(truth, state.estimated_graph())
         state.experiment_log.append(
             ExperimentRecord(exp_index, j, i, state.decided_count(), dist)
         )

@@ -25,6 +25,8 @@ from tomolab import (
 )
 from tomolab.cli import main, parse_node_range
 
+from conftest import traced_peak
+
 
 def run(*argv) -> int:
     return main(list(argv))
@@ -32,24 +34,33 @@ def run(*argv) -> int:
 
 class TestNodeRange:
     def test_plain_range(self):
-        assert list(parse_node_range("0-9")) == list(range(10))
+        assert list(parse_node_range("0-9", 10)) == list(range(10))
 
     def test_comma_list(self):
-        assert list(parse_node_range("0,3,7")) == [0, 3, 7]
+        assert list(parse_node_range("0,3,7", 8)) == [0, 3, 7]
 
     def test_mixed_and_messy(self):
-        assert list(parse_node_range(" 0-2, 8 ,5")) == [0, 1, 2, 5, 8]
-        assert list(parse_node_range("3,3,1-3")) == [1, 2, 3]
+        assert list(parse_node_range(" 0-2, 8 ,5", 9)) == [0, 1, 2, 5, 8]
+        assert list(parse_node_range("3,3,1-3", 4)) == [1, 2, 3]
 
     def test_rejections(self):
         with pytest.raises(ConfigError, match="bad node range"):
-            parse_node_range("a-b")
+            parse_node_range("a-b", 10)
         with pytest.raises(ConfigError, match="empty node range"):
-            parse_node_range("5-2")
+            parse_node_range("5-2", 10)
         with pytest.raises(ConfigError, match="bad node id"):
-            parse_node_range("x")
+            parse_node_range("x", 10)
         with pytest.raises(ConfigError, match="no node ids"):
-            parse_node_range(",")
+            parse_node_range(",", 10)
+
+    @pytest.mark.parametrize("text", ["0-1000000", "2,1000000,3", "1000000-1000000,0-4"])
+    def test_out_of_range_id_is_named_before_expanding(self, text):
+        def parse():
+            with pytest.raises(ConfigError, match="node id 1000000 out of range for a 5-node graph"):
+                parse_node_range(text, 5)
+
+        # expanding the range first would take tens of MB
+        assert traced_peak(parse) < 1 << 20
 
 
 class TestGenerate:
@@ -63,7 +74,7 @@ class TestGenerate:
         g = load_edge_list(str(out / "graph.edges"))
         obs = load_edge_list(str(out / "observable.edges"))
         assert g.n == 30 and obs.n == 6
-        cut = subgraph(g, parse_node_range("0-5"))
+        cut = subgraph(g, parse_node_range("0-5", 30))
         assert np.array_equal(obs.adjacency, cut.adjacency)
         assert "N=30" in capsys.readouterr().out
 
@@ -147,6 +158,20 @@ class TestGenerate:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "net").exists()
 
+    def test_empty_graph_names_the_flag(self, tmp_path, capsys):
+        # checked before the observable ids, which it bounds
+        assert run("generate", "--n", "0", "--p", "0.1", "--out", str(tmp_path / "net")) == 2
+        assert capsys.readouterr().err == "error: --n must be at least 1, got 0\n"
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        rc = run(
+            "generate", "--n", "20", "--p", "0.1", "--seed", "-1", "--out", str(tmp_path / "net"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0] == "error: --seed must be a non-negative integer, got -1"
+        assert not (tmp_path / "net").exists()
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_empty_observable_size_rejected(self, tmp_path, capsys, size):
         rc = run(
@@ -205,6 +230,17 @@ class TestSimulate:
         lines = (out / "trajectory.csv").read_text().strip().splitlines()
         assert lines[0] == "n,node_id,y"
         assert len(lines) == 1 + 301 * 6
+
+    def test_infinite_beta_rejected(self, generated, tmp_path, capsys):
+        rc = run(
+            "simulate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-5", "--beta", "inf",
+            "--n-max", "100", "--out", str(tmp_path / "sim"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: beta must be a finite positive number, got inf"]
+        assert not (tmp_path / "sim").exists()
 
     def test_observable_must_fit_the_graph(self, generated, tmp_path, capsys):
         rc = run(
@@ -457,6 +493,10 @@ _MALFORMED = {
         "recovery-prob", _with(_RECOVERY, "classifier", method="threshold", eta=[1]), "'eta'"
     ),
     "seed-null": ("recovery-prob", _with(_RECOVERY, None, seed=None), "'seed'"),
+    "seed-negative": ("patch-catch", _with(_PATCH, None, seed=-1), "'seed'"),
+    "beta-infinite": (
+        "patch-catch", _with(_PATCH, "sim", beta=float("inf")), "beta must be a finite"
+    ),
     "burn_in-null": ("recovery-prob", _with(_RECOVERY, "correlations", burn_in=None), "'burn_in'"),
     "n_grid-nested": ("recovery-prob", _with(_RECOVERY, None, n_grid=[[40]]), "'n_grid'"),
     "n_grid-float": ("recovery-prob", _with(_RECOVERY, None, n_grid=[40.7]), "'n_grid'"),

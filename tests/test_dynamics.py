@@ -317,10 +317,11 @@ class TestAnalytic:
         assert via_full.r0 == pytest.approx(direct.r0, abs=1e-14)
         assert via_full.r1 == pytest.approx(direct.r1, abs=1e-14)
 
-    def test_beta_must_be_positive(self):
+    @pytest.mark.parametrize("beta", [0.0, np.inf, np.nan])
+    def test_beta_must_be_positive(self, beta):
         a = build_matrix(ring_graph(4), MET)
-        with pytest.raises(ValueError, match="beta"):
-            analytic_correlations(a, 0.0, full_set(a))
+        with pytest.raises(ValueError, match="beta must be a finite positive number"):
+            analytic_correlations(a, beta, full_set(a))
 
 
 class TestEmpirical:
@@ -539,8 +540,9 @@ class TestKernelLoader:
 
 class TestValidation:
     def test_sim_config_bounds(self):
-        with pytest.raises(ValueError, match="beta"):
-            SimConfig(beta=0.0, n_max=10)
+        for beta in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="beta must be a finite positive number"):
+                SimConfig(beta=beta, n_max=10)
         with pytest.raises(ValueError, match="n_max"):
             SimConfig(beta=0.1, n_max=0)
         with pytest.raises(ValueError, match="burn_in"):

@@ -69,14 +69,14 @@ class TestFullRecovery:
 
 
 @st.composite
-def observed_networks(draw):
-    """``(edges, n, s, params)``: a graph of at most 40 nodes, observed and weighted.
+def observed_networks(draw, max_n=40):
+    """``(edges, n, s, params)``: a graph of at most ``max_n`` nodes, observed and weighted.
 
     The graph is an ER draw (often disconnected), a star, a complete
     graph or edgeless; at least one node is hidden, and one observed node
     may lose all of its edges.
     """
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(2, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["er", "star", "complete", "edgeless"]))
     if kind == "er":
@@ -115,6 +115,74 @@ class TestErrorProperties:
         assert np.abs(error_matrix(moved, s).e_s - arts.e_s).max() <= scale
         moved_hat = granger_truncated(analytic_correlations(moved, 1.0, s))
         assert np.abs(moved_hat - a_hat).max() <= scale
+
+
+def exact_estimate(n, edges, params, s, beta=1.0):
+    """``(corr, a_hat)`` from the analytic correlations of the weighted graph on ``edges``."""
+    corr = analytic_correlations(build_matrix(from_edges(n, edges), params), beta, s)
+    return corr, granger_truncated(corr)
+
+
+def kmeans2_margin(a_hat):
+    """Lowest upper-cluster score minus highest lower-cluster score; 0 with no split."""
+    vals = symmetrize(a_hat)[np.triu_indices(len(a_hat), 1)]
+    if vals.size < 2 or np.all(vals == vals[0]):
+        return 0.0
+    upper, _ = two_means_1d(vals)
+    return vals[upper].min() - vals[~upper].max()
+
+
+def assert_close(got, want):
+    """``got`` equals ``want`` to 1e-12 of ``want``'s largest entry."""
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+_KMEANS2 = Classifier(ClassifierMethod.KMEANS2)
+
+
+class TestCorrelationProperties:
+    @given(observed_networks(max_n=60), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_hidden_labels_leave_correlations_and_decision(self, net, random):
+        edges, n, s, params = net
+        corr, a_hat = exact_estimate(n, edges, params, s)
+        hidden = [u for u in range(n) if u not in s]
+        label = np.arange(n)
+        label[hidden] = random.sample(hidden, len(hidden))
+        moved, moved_hat = exact_estimate(n, label[edges], params, s)
+        assert_close(moved.r0, corr.r0)
+        assert_close(moved.r1, corr.r1)
+        if kmeans2_margin(a_hat) > 1e-9:
+            assert apply_classifier(moved_hat, _KMEANS2) == apply_classifier(a_hat, _KMEANS2)
+
+    @given(observed_networks(max_n=60), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_permuting_s_permutes_correlations_estimate_and_decision(self, net, random):
+        edges, n, s, params = net
+        corr, a_hat = exact_estimate(n, edges, params, s)
+        # node s[i] takes the label s[order[i]], so entry (i, j) moves to (order[i], order[j])
+        order = random.sample(range(len(s)), len(s))
+        label = np.arange(n)
+        label[s.indices()] = s.indices()[order]
+        moved, moved_hat = exact_estimate(n, label[edges], params, s)
+        back = np.ix_(order, order)
+        assert_close(moved.r0[back], corr.r0)
+        assert_close(moved.r1[back], corr.r1)
+        assert_close(moved_hat[back], a_hat)
+        if kmeans2_margin(a_hat) > 1e-9:
+            decided = apply_classifier(a_hat, _KMEANS2).adjacency
+            moved_decided = apply_classifier(moved_hat, _KMEANS2).adjacency
+            assert np.array_equal(moved_decided[back], decided)
+
+    @given(observed_networks(max_n=60), st.floats(0.01, 100.0))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_beta_scales_correlations_and_leaves_estimate(self, net, beta):
+        edges, n, s, params = net
+        unit, a_hat = exact_estimate(n, edges, params, s)
+        scaled, scaled_hat = exact_estimate(n, edges, params, s, beta)
+        assert_close(scaled.r0, beta * beta * unit.r0)
+        assert_close(scaled.r1, beta * beta * unit.r1)
+        assert_close(scaled_hat, a_hat)
 
 
 class TestTruncationError:
@@ -408,7 +476,7 @@ class TestTwoMeans:
             max_size=10,
         )
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_exhaustive_partitioning(self, values):
         _, sse = two_means_1d(values)
         best = brute_force_sse(values)

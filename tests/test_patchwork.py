@@ -217,8 +217,7 @@ class TestMergeStateOracle:
         k = int(rng.integers(2, 30))
         s = NodeSet.of(rng.choice(200, size=k, replace=False))
         state, oracle = ReconstructionState(s), DictReconstructionState(s)
-        truth = random_vote(rng, k)
-        truth_upper = np.triu(truth.adjacency, 1)
+        random_vote(rng, k)  # discarded; keeps the draws of the votes below fixed
         for _ in range(25):
             m = int(rng.integers(0, min(k, 10) + 1))
             union = NodeSet.of(rng.choice(s.members, size=m, replace=False))
@@ -229,7 +228,6 @@ class TestMergeStateOracle:
             assert state.decided_count() == oracle.decided_count()
             assert state.undecided_pairs() == oracle.undecided_pairs()
             assert np.array_equal(state.estimated_graph().adjacency, oracle.estimated_graph())
-            assert state.distance(truth_upper) == graph_distance(truth, state.estimated_graph())
 
     @pytest.mark.parametrize(
         "union",
