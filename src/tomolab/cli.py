@@ -174,7 +174,7 @@ def _embedded(f: _Fields) -> EmbeddedSource:
 
 def _sim(f: _Fields, policy: PolicyParams) -> SimConfig:
     return SimConfig(
-        beta=f.get("beta", float, policy.default_beta),
+        beta=policy.default_beta,  # the estimate is the same at every noise scale
         n_max=f.get("n_max", int),
         burn_in=f.get("burn_in", int, SimConfig.burn_in),
         noise=f.get("noise", NoiseKind, SimConfig.noise),
@@ -230,32 +230,32 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _network_from_args(args):
-    """``(g, policy, a, s, beta, sim)`` from the flags; ``sim`` is ``None`` when analytic.
+def _network_from_args(args, beta: float | None = None):
+    """``(g, policy, a, s, sim)`` from the flags; ``sim`` is ``None`` when analytic.
 
     Analytic mode refuses the simulation flags; one not given keeps its default.
     """
     if args.mode == "analytic":
-        for flag in ("n_max", "burn_in", "noise"):
+        for flag in ("n_max", "burn_in", "noise", "seed"):
             if getattr(args, flag) is not None:
                 raise ConfigError(f"--{flag.replace('_', '-')} applies to --mode empirical only")
     g = load_edge_list(args.graph)
     policy = PolicyParams(CombinationRule(args.policy), args.rho, args.lam)
     s = parse_node_range(args.s, g.n)
-    beta = policy.default_beta if args.beta is None else args.beta
     sim = None
     if args.mode == "empirical":
         given = {"burn_in": args.burn_in, "noise": NoiseKind(args.noise) if args.noise else None}
         n_max = _N_MAX if args.n_max is None else args.n_max
+        beta = policy.default_beta if beta is None else beta
         sim = SimConfig(beta, n_max, **{k: v for k, v in given.items() if v is not None})
-    return g, policy, build_matrix(g, policy), s, beta, sim
+    return g, policy, build_matrix(g, policy), s, sim
 
 
 def _cmd_simulate(args) -> int:
-    g, _, a, s, _, cfg = _network_from_args(args)
+    g, _, a, s, cfg = _network_from_args(args, args.beta)
     path = _out_path(args.out, "trajectory.csv") if args.dump else None
     with open(path, "w", encoding="ascii") if path else contextlib.nullcontext() as dump:
-        corr = simulate_and_accumulate(a, cfg, s, args.seed, dump=dump)
+        corr = simulate_and_accumulate(a, cfg, s, args.seed or 0, dump=dump)
     _write_text(args.out, "r0.csv", _matrix_csv(corr.r0))
     _write_text(args.out, "r1.csv", _matrix_csv(corr.r1))
     print(
@@ -266,15 +266,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    g, policy, a, s, beta, sim = _network_from_args(args)
+    g, policy, a, s, sim = _network_from_args(args)
     eta = None if args.eta == "auto" else _option_float(args.eta, "--eta")
     classifier = Classifier(ClassifierMethod(args.classifier), eta)
-    if args.p is not None and not 0.0 < args.p <= 1.0:
-        raise ConfigError(f"--p must lie in (0, 1], got {args.p}")
     classifier.check_observed(len(s))
     rule = classifier.resolve(policy, g.n, args.p)
-    corr = correlations(a, s, beta, args.seed, sim)
-    est = granger_truncated(corr)
+    if args.p is not None and rule is classifier:  # resolved without reading p
+        raise ConfigError("--p applies to --classifier threshold --eta auto only")
+    est = granger_truncated(correlations(a, s, args.seed or 0, sim))
     decided = apply_classifier(est, rule)
     _write_text(args.out, "a_hat.csv", _matrix_csv(est))
     report = {
@@ -408,17 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
     common_sim.add_argument("--rho", type=float, required=True)
     common_sim.add_argument("--lam", type=float, default=1.0)
     common_sim.add_argument("--s", type=str, required=True)
-    common_sim.add_argument("--beta", type=float, default=None)
     common_sim.add_argument("--n-max", type=int, default=None, help=f"default {_N_MAX}")
     common_sim.add_argument("--burn-in", type=int, default=None,
                             help=f"default {SimConfig.burn_in}")
     common_sim.add_argument("--noise", type=str, default=None,
                             choices=[k.value for k in NoiseKind],
                             help=f"default {SimConfig.noise.value}")
-    common_sim.add_argument("--seed", type=int, default=0)
+    common_sim.add_argument("--seed", type=int, default=None, help="default 0")
 
     p = sub.add_parser("simulate", parents=[common_sim], allow_abbrev=False,
                        help="estimate correlations from a trajectory")
+    p.add_argument("--beta", type=float, default=None, help="noise scale (default 1 - rho)")
     p.add_argument("--dump", action="store_true", help="also write the raw observable samples")
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_simulate, mode="empirical")  # always a trajectory
@@ -462,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None:  # None keeps the config's seed
+        if getattr(args, "seed", None) is not None:  # None: not given
             _seed(args.seed, "--seed")
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError

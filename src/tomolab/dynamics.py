@@ -326,6 +326,7 @@ def simulate_and_accumulate(
 
     both restricted to ``s``.  The noise comes from ``default_rng(seed)``,
     so the result is a deterministic function of ``(a, cfg, s, seed)``.
+    A ``beta`` whose squares overflow or underflow raises ``NumericError``.
     When ``dump`` is given, every retained observable sample is appended
     to it as ``n,node_id,y`` CSV rows.
 
@@ -424,5 +425,6 @@ def simulate_and_accumulate(
 
     r0 = r0_acc / (cfg.n_max + 1)
     r1 = r1_acc / cfg.n_max
-    r0 = 0.5 * (r0 + r0.T)
-    return CorrelationSet(r0, r1, cfg.n_max, s)
+    if not (np.isfinite(r0).all() and np.isfinite(r1).all() and np.diagonal(r0).all()):
+        raise NumericError(f"the sampled correlations overflow or underflow at beta={cfg.beta}")
+    return CorrelationSet(0.5 * (r0 + r0.T), r1, cfg.n_max, s)

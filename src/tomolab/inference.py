@@ -86,8 +86,8 @@ class Classifier:
         """The concrete rule at size ``n``: an unset threshold is ``class_tau / (N p)``."""
         if self.method is ClassifierMethod.KMEANS2 or self.eta is not None:
             return self
-        if p is None:
-            raise ConfigError("an unset threshold (--eta auto) needs the edge probability --p")
+        if p is None or not 0.0 < p <= 1.0:
+            raise ConfigError(f"an unset threshold (--eta auto) needs --p in (0, 1], got {p}")
         return Classifier(self.method, class_tau(policy) / (n * p))
 
 
@@ -267,8 +267,8 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 def classify_threshold(a_hat_s: np.ndarray, eta: float) -> Graph:
     """Connect ``(i, j)`` when either directed entry strictly exceeds ``eta``.
 
-    Ties (entries exactly equal to ``eta``) are left disconnected; the
-    diagonal is always connected.
+    Ties stay disconnected and the diagonal connected.  :func:`apply_classifier`
+    symmetrizes first, so the drivers and the CLI threshold the mean of the two.
     """
     if not np.isfinite(eta) or eta <= 0.0:
         raise ValueError(f"eta must be a finite positive number, got {eta}")
@@ -337,7 +337,7 @@ def classify_kmeans2(a_hat_s: np.ndarray) -> Graph:
 def apply_classifier(a_hat_s: np.ndarray, classifier: Classifier) -> Graph:
     """The one route from an estimate to its decided graph; symmetrizing twice is exact.
 
-    A threshold must be resolved first: one with no ``eta`` raises ``ValueError``.
+    A threshold must be resolved first; it connects a pair whose mean score exceeds ``eta``.
     """
     sym = symmetrize(a_hat_s)
     if classifier.method is ClassifierMethod.THRESHOLD:

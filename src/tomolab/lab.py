@@ -182,13 +182,13 @@ class EmbeddedSource:
         return sample_er(s_size, min(q, 1.0), rng)
 
 
-def correlations(a: CombinationMatrix, s: NodeSet, beta: float, seed: int, sim: SimConfig | None):
-    """Exact correlations at ``beta`` if ``sim`` is ``None``, else a trajectory's.
+def correlations(a: CombinationMatrix, s: NodeSet, seed: int, sim: SimConfig | None):
+    """Exact correlations if ``sim`` is ``None``, else a trajectory's from ``seed``.
 
-    The trajectory runs ``sim`` (with its own ``beta``) from ``seed``.
+    The estimate is the same at every noise scale; the exact ones take ``1 - a.rho_bound``.
     """
     if sim is None:
-        return analytic_correlations(a, beta, s)
+        return analytic_correlations(a, 1.0 - a.rho_bound, s)
     return simulate_and_accumulate(a, sim, s, seed)
 
 
@@ -247,9 +247,8 @@ def _recovery_trial(
     cfg: ExperimentConfig, n: int, p: float, n_index: int, trial: int
 ) -> bool:
     s, planted, _, a = _instance(cfg, n, p, derive_seed(cfg.base_seed, n_index, trial))
-    sim_seed = derive_seed(cfg.base_seed, n_index, trial, 1)
     try:
-        corr = correlations(a, s, cfg.policy.default_beta, sim_seed, cfg.sim)
+        corr = correlations(a, s, derive_seed(cfg.base_seed, n_index, trial, 1), cfg.sim)
         est = granger_truncated(corr)
         decided = apply_classifier(est, cfg.classifier.resolve(cfg.policy, n, p))
     except NumericError as exc:

@@ -242,6 +242,20 @@ class TestSimulate:
         assert err == ["error: beta must be a finite positive number, got inf"]
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    @pytest.mark.parametrize("beta", ["1e160", "1e-170"])
+    def test_beta_out_of_range_exits_three(self, generated, tmp_path, capsys, beta):
+        rc = run(
+            "simulate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-5", "--beta", beta,
+            "--n-max", "100", "--out", str(tmp_path / "sim"),
+        )
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("numeric error:") and "overflow or underflow" in err[-1]
+        assert not (tmp_path / "sim" / "r0.csv").exists()
+        assert not (tmp_path / "sim" / "r1.csv").exists()
+
     def test_observable_must_fit_the_graph(self, generated, tmp_path, capsys):
         rc = run(
             "simulate", "--graph", str(generated / "graph.edges"),
@@ -340,7 +354,10 @@ class TestEstimate:
         assert len(lines) == 1 and lines[0].startswith("error:") and "kmeans2" in lines[0]
         assert not (tmp_path / "est").exists()
 
-    @pytest.mark.parametrize("flag", [["--n-max", "100"], ["--burn-in", "5"], ["--noise", "rademacher"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--n-max", "100"], ["--burn-in", "5"], ["--noise", "rademacher"], ["--seed", "0"]],
+    )
     def test_analytic_refuses_simulation_flags(self, generated, tmp_path, capsys, flag):
         rc = run(
             "estimate", "--graph", str(generated / "graph.edges"),
@@ -350,6 +367,33 @@ class TestEstimate:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and flag[0] in err[0]
+        assert not (tmp_path / "est").exists()
+
+    @pytest.mark.parametrize(
+        "classifier", [["--classifier", "kmeans2"], ["--classifier", "threshold", "--eta", "0.05"]]
+    )
+    def test_p_without_auto_eta_refused(self, generated, tmp_path, capsys, classifier):
+        # only an --eta auto threshold reads the edge probability
+        rc = run(
+            "estimate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-5",
+            *classifier, "--p", "0.5", "--out", str(tmp_path / "est"),
+        )
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--p" in err[0]
+        assert not (tmp_path / "est").exists()
+
+    def test_beta_is_no_estimate_flag(self, generated, tmp_path, capsys):
+        # the estimate is the same at every noise scale
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "estimate", "--graph", str(generated / "graph.edges"),
+                "--policy", "metropolis", "--rho", "0.8", "--s", "0-5",
+                "--beta", "0.3", "--out", str(tmp_path / "est"),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --beta 0.3" in capsys.readouterr().err
         assert not (tmp_path / "est").exists()
 
     def test_threshold_on_two_nodes_runs(self, generated, tmp_path):
@@ -494,8 +538,12 @@ _MALFORMED = {
     ),
     "seed-null": ("recovery-prob", _with(_RECOVERY, None, seed=None), "'seed'"),
     "seed-negative": ("patch-catch", _with(_PATCH, None, seed=-1), "'seed'"),
+    # the estimate is the same at every noise scale, so no config sets one
     "beta-infinite": (
-        "patch-catch", _with(_PATCH, "sim", beta=float("inf")), "beta must be a finite"
+        "patch-catch", _with(_PATCH, "sim", beta=float("inf")), "unknown field 'beta'"
+    ),
+    "beta-in-empirical": (
+        "recovery-prob", _with(_RECOVERY, "correlations", beta=0.3), "unknown field 'beta'"
     ),
     "burn_in-null": ("recovery-prob", _with(_RECOVERY, "correlations", burn_in=None), "'burn_in'"),
     "n_grid-nested": ("recovery-prob", _with(_RECOVERY, None, n_grid=[[40]]), "'n_grid'"),
@@ -718,9 +766,15 @@ class TestGoldenBytes:
             "simulate", *common, "--n-max", "50", "--burn-in", "10", "--seed", "3",
             "--out", str(tmp_path / "sim"),
         ) == 0
+        # the default noise scale is 1 - rho
+        assert run(
+            "simulate", *common, "--n-max", "50", "--burn-in", "10", "--seed", "3",
+            "--beta", "0.19999999999999996", "--out", str(tmp_path / "beta"),
+        ) == 0
         capsys.readouterr()
         assert (tmp_path / "est" / "a_hat.csv").read_bytes() == GOLDEN_A_HAT
         assert (tmp_path / "sim" / "r0.csv").read_bytes() == GOLDEN_R0
+        assert (tmp_path / "beta" / "r0.csv").read_bytes() == GOLDEN_R0
 
     def test_estimate_with_the_mode_given(self, tmp_path, capsys):
         net = tmp_path / "net"

@@ -325,6 +325,16 @@ class TestAnalytic:
 
 
 class TestEmpirical:
+    # the squares of 1e160 overflow to inf, with numpy's warnings, and those of
+    # 1e-170 underflow to zero
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [1e160, 1e-170])
+    def test_beta_out_of_range_raises_numeric_error(self, beta):
+        a = build_matrix(ring_graph(5), MET)
+        cfg = SimConfig(beta=beta, n_max=50, burn_in=10)
+        with pytest.raises(NumericError, match="overflow or underflow"):
+            simulate_and_accumulate(a, cfg, NodeSet((0, 2)), 3)
+
     def test_manual_replication(self):
         # mirror the noise stream by hand with Rademacher draws and check
         # the burn-in relabeling and the n_max + 1 / n_max divisors

@@ -1,6 +1,7 @@
 """Tests for experiment configuration and the campaign drivers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,10 +215,11 @@ class TestClassifier:
         with pytest.raises(ConfigError, match="takes no eta"):
             Classifier(ClassifierMethod.KMEANS2, 0.05)
 
-    def test_unset_threshold_needs_p(self):
+    @pytest.mark.parametrize("p", [None, 0.0, -0.1, 1.5])
+    def test_unset_threshold_needs_p_in_the_unit_interval(self, p):
         pol = PolicyParams(CombinationRule.METROPOLIS, rho=0.8)
         with pytest.raises(ConfigError, match="--p"):
-            Classifier(ClassifierMethod.THRESHOLD).resolve(pol, 100, None)
+            Classifier(ClassifierMethod.THRESHOLD).resolve(pol, 100, p)
 
 
 class TestCorrelations:
@@ -226,18 +228,18 @@ class TestCorrelations:
         a = build_matrix(ring_graph(12), PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
         return a, NodeSet((0, 3, 4, 7))
 
-    def test_no_sim_is_exact(self, network):
+    def test_no_sim_is_exact_at_the_default_beta(self, network):
         a, s = network
-        exact = lab.correlations(a, s, 0.3, 9, None)
-        want = analytic_correlations(a, 0.3, s)
+        exact = lab.correlations(a, s, 9, None)
+        beta = PolicyParams(CombinationRule.METROPOLIS, rho=0.8).default_beta
+        want = analytic_correlations(a, beta, s)
         assert exact.analytic and np.array_equal(exact.r0, want.r0)
         assert np.array_equal(exact.r1, want.r1)
 
     def test_sim_draws_a_trajectory_from_the_seed(self, network):
         a, s = network
         sim = SimConfig(beta=0.3, n_max=700, burn_in=20)
-        # the simulation runs at its own beta, not the one handed in
-        drawn = lab.correlations(a, s, 0.5, 9, sim)
+        drawn = lab.correlations(a, s, 9, sim)
         want = simulate_and_accumulate(a, sim, s, 9)
         assert drawn.sample_count == 700 and np.array_equal(drawn.r0, want.r0)
         assert np.array_equal(drawn.r1, want.r1)
@@ -355,6 +357,24 @@ class TestRecoveryExperiment:
         assert (int(n), int(trials)) == (10, 4)
         assert float(frac) == rows[0].fraction
 
+    def test_noise_scale_does_not_change_results(self):
+        # [R1]_S [R0]_S^{-1} is the same at every beta, so are the decisions
+        cfg = _analytic_config(
+            n_grid=(30, 60),
+            c_rule=CRule.multiple(2.0),
+            s_size=8,
+            embedded=EmbeddedSource("er"),
+            trials=3,
+            base_seed=2,
+        )
+        rows = {
+            beta: recovery_rows_csv(recovery_probability_experiment(
+                replace(cfg, sim=SimConfig(beta=beta, n_max=4000, burn_in=50))
+            ))
+            for beta in (1e-100, 0.2, 1e100)
+        }
+        assert rows[1e-100] == rows[0.2] == rows[1e100]
+
     def test_thread_count_does_not_change_results(self):
         cfg = _analytic_config(
             n_grid=(40,),
@@ -422,6 +442,19 @@ class TestPatchCatchCampaign:
         lone = patch_catch_rows_csv(patch_catch_experiment(cfg, threads=1))
         pool = patch_catch_rows_csv(patch_catch_experiment(cfg, threads=3))
         assert lone == pool
+
+    def test_noise_scale_does_not_change_results(self):
+        outputs = []
+        for beta in (1e-100, 0.2, 1e100):
+            cfg = _patch_config(
+                probe_limit=4, trials=2, sim=SimConfig(beta=beta, n_max=2000, burn_in=100)
+            )
+            results = patch_catch_experiment(cfg)
+            outputs.append((patch_catch_rows_csv(results), patch_catch_trace_csv(results)))
+        assert outputs[0] == outputs[1] == outputs[2]
+        # four patches of two: six experiments per trial, and not all of them exact
+        assert len(outputs[0][1].splitlines()) == 1 + 2 * 6
+        assert {r.trace[-1] for r in results} != {0.0}
 
 
 class TestSmallDistanceRarity:
