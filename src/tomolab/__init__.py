@@ -53,7 +53,6 @@ from .inference import (
     error_matrix,
     granger_truncated,
     h_entry_bound_check,
-    symmetrize,
     two_means_1d,
 )
 from .patchwork import (

@@ -198,6 +198,20 @@ def _write_text(out_dir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
+@contextlib.contextmanager
+def _written_on_success(path: str):
+    """A text file open under a temporary name, renamed to ``path`` if the block succeeds."""
+    part = path + ".part"
+    fh = open(part, "w", encoding="ascii")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(part)
+        raise
+    os.replace(part, path)
+
+
 def _matrix_csv(m: np.ndarray) -> str:
     return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in np.atleast_2d(m))
 
@@ -254,7 +268,7 @@ def _network_from_args(args, beta: float | None = None):
 def _cmd_simulate(args) -> int:
     g, _, a, s, cfg = _network_from_args(args, args.beta)
     path = _out_path(args.out, "trajectory.csv") if args.dump else None
-    with open(path, "w", encoding="ascii") if path else contextlib.nullcontext() as dump:
+    with _written_on_success(path) if path else contextlib.nullcontext() as dump:
         corr = simulate_and_accumulate(a, cfg, s, args.seed or 0, dump=dump)
     _write_text(args.out, "r0.csv", _matrix_csv(corr.r0))
     _write_text(args.out, "r1.csv", _matrix_csv(corr.r1))

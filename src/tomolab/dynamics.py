@@ -407,24 +407,25 @@ def simulate_and_accumulate(
     # the chunk fills rows 1 ..; row 0 holds the sample before it, its lag-1 partner
     buf = np.empty((_CHUNK + 1, len(s)))
     buf[0] = y0[idx]
-    r0_acc = np.outer(buf[0], buf[0])
-    r1_acc = np.zeros_like(r0_acc)
     if dump is not None:
         dump.write("n,node_id,y\n")
         dump_rows(0, buf[:1])
 
-    for done in range(0, cfg.n_max, _CHUNK):
-        rows = min(_CHUNK, cfg.n_max - done)
-        advance(rows, buf[1:])
-        cur = buf[1 : rows + 1]
-        r0_acc += cur.T @ cur
-        r1_acc += cur.T @ buf[:rows]
-        if dump is not None:
-            dump_rows(done + 1, cur)
-        buf[0] = buf[rows]
-
-    r0 = r0_acc / (cfg.n_max + 1)
-    r1 = r1_acc / cfg.n_max
+    # the finiteness check below is the one report of an overflowing sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        r0_acc = np.outer(buf[0], buf[0])
+        r1_acc = np.zeros_like(r0_acc)
+        for done in range(0, cfg.n_max, _CHUNK):
+            rows = min(_CHUNK, cfg.n_max - done)
+            advance(rows, buf[1:])
+            cur = buf[1 : rows + 1]
+            r0_acc += cur.T @ cur
+            r1_acc += cur.T @ buf[:rows]
+            if dump is not None:
+                dump_rows(done + 1, cur)
+            buf[0] = buf[rows]
+        r0 = r0_acc / (cfg.n_max + 1)
+        r1 = r1_acc / cfg.n_max
     if not (np.isfinite(r0).all() and np.isfinite(r1).all() and np.diagonal(r0).all()):
         raise NumericError(f"the sampled correlations overflow or underflow at beta={cfg.beta}")
     return CorrelationSet(0.5 * (r0 + r0.T), r1, cfg.n_max, s)

@@ -24,6 +24,10 @@ builds the dense ``H``.
 The estimator's ``|S| x |S|`` solve runs on ``numpy.linalg`` alone, so
 the package never imports ``scipy.linalg`` and a process maps numpy's BLAS
 only, not scipy's second copy.
+
+Both classifiers score each observed pair by its mean ``(m_ij + m_ji) / 2``:
+:func:`classify_threshold` connects the pairs above ``eta``, and
+:func:`classify_kmeans2` splits the scores by exact 1-D 2-means.
 """
 
 from __future__ import annotations
@@ -258,25 +262,28 @@ def h_entry_bound_check(a: CombinationMatrix, g: Graph, s: NodeSet) -> HBoundRep
     return HBoundReport(m_pairs, violations, vacuous, worst, block_dev)
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Average of a matrix with its transpose."""
-    m = np.asarray(m, dtype=np.float64)
-    return 0.5 * (m + m.T)
+def _pair_scores(a_hat_s: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The mean ``0.5 (m[i, j] + m[j, i])`` of each pair ``i < j``, with its edge key ``i * k + j``.
 
-
-def classify_threshold(a_hat_s: np.ndarray, eta: float) -> Graph:
-    """Connect ``(i, j)`` when either directed entry strictly exceeds ``eta``.
-
-    Ties stay disconnected and the diagonal connected.  :func:`apply_classifier`
-    symmetrizes first, so the drivers and the CLI threshold the mean of the two.
+    Returns ``(k, keys, scores)``, the pairs in ``triu_indices`` order.
     """
-    if not np.isfinite(eta) or eta <= 0.0:
-        raise ValueError(f"eta must be a finite positive number, got {eta}")
     m = np.asarray(a_hat_s, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("estimate must be a square matrix")
-    above = (m > eta) | (m.T > eta)
-    return _from_upper(m.shape[0], np.flatnonzero(np.triu(above, 1)))
+    k = m.shape[0]
+    rows, cols = np.triu_indices(k, 1)
+    return k, rows * k + cols, 0.5 * (m[rows, cols] + m[cols, rows])
+
+
+def classify_threshold(a_hat_s: np.ndarray, eta: float) -> Graph:
+    """Connect ``(i, j)`` when the pair's mean score strictly exceeds ``eta``.
+
+    Ties stay disconnected and the diagonal connected.
+    """
+    if not np.isfinite(eta) or eta <= 0.0:
+        raise ValueError(f"eta must be a finite positive number, got {eta}")
+    k, keys, scores = _pair_scores(a_hat_s)
+    return _from_upper(k, keys[scores > eta])
 
 
 def two_means_1d(values) -> tuple[np.ndarray, float]:
@@ -315,53 +322,45 @@ def two_means_1d(values) -> tuple[np.ndarray, float]:
 
 
 def classify_kmeans2(a_hat_s: np.ndarray) -> Graph:
-    """Cluster the symmetrized off-diagonal entries into edges and non-edges.
+    """Split the pair scores into edges and non-edges by exact 1-D 2-means.
 
-    The ``S(S-1)/2`` values (mean of the two directed entries per pair) are
-    split by exact 1-D 2-means; pairs in the higher-mean cluster become
+    Pairs in the higher-mean cluster of the ``S(S-1)/2`` mean scores become
     edges.  Fewer than three observed nodes raise the ``ConfigError`` of
-    :meth:`Classifier.check_observed`; if every value is identical there
+    :meth:`Classifier.check_observed`; if every score is identical there
     is nothing to separate and the edgeless graph is returned.
     """
-    m = np.asarray(a_hat_s, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("estimate must be a square matrix")
-    k = m.shape[0]
+    k, keys, scores = _pair_scores(a_hat_s)
     Classifier(ClassifierMethod.KMEANS2).check_observed(k)
-    iu = np.triu_indices(k, 1)
-    vals = symmetrize(m)[iu]
-    upper = np.zeros(vals.size, bool) if np.all(vals == vals[0]) else two_means_1d(vals)[0]
-    return _from_upper(k, np.ravel_multi_index(iu, (k, k))[upper])
+    upper = np.zeros(scores.size, bool) if np.all(scores == scores[0]) else two_means_1d(scores)[0]
+    return _from_upper(k, keys[upper])
 
 
 def apply_classifier(a_hat_s: np.ndarray, classifier: Classifier) -> Graph:
-    """The one route from an estimate to its decided graph; symmetrizing twice is exact.
+    """The one route from an estimate to its decided graph.
 
     A threshold must be resolved first; it connects a pair whose mean score exceeds ``eta``.
     """
-    sym = symmetrize(a_hat_s)
     if classifier.method is ClassifierMethod.THRESHOLD:
         if classifier.eta is None:
             raise ValueError("the threshold's eta is unset; resolve the classifier first")
-        return classify_threshold(sym, classifier.eta)
-    return classify_kmeans2(sym)
+        return classify_threshold(a_hat_s, classifier.eta)
+    return classify_kmeans2(a_hat_s)
 
 
 def classification_report(
     a_hat_s: np.ndarray, decided: Graph, node_index: NodeSet
 ) -> list[dict]:
     """Per-pair records ``{i, j, score, decision}`` using global node ids."""
-    sym = symmetrize(a_hat_s)
-    k = sym.shape[0]
+    k, keys, scores = _pair_scores(a_hat_s)
     if decided.n != k or len(node_index) != k:
         raise ValueError("estimate, decision graph and node set sizes differ")
-    rows, cols = np.triu_indices(k, 1)
+    rows, cols = np.divmod(keys, k)
     return [
         {"i": node_index[p], "j": node_index[q], "score": score, "decision": decision}
         for p, q, score, decision in zip(
             rows.tolist(),
             cols.tolist(),
-            sym[rows, cols].tolist(),
+            scores.tolist(),
             decided.adjacency[rows, cols].tolist(),
         )
     ]

@@ -40,7 +40,7 @@ from .graphs import (
     subgraph,
 )
 from .inference import Classifier, apply_classifier, granger_truncated
-from .patchwork import TieBreak, _csv_text, graph_distance, make_patches, run_patch_catch
+from .patchwork import PatchPlan, TieBreak, _csv_text, graph_distance, make_patches, run_patch_catch
 from .weights import CombinationMatrix, PolicyParams, build_matrix
 
 logger = logging.getLogger(__name__)
@@ -314,6 +314,7 @@ class PatchCatchConfig:
             raise ConfigError(
                 f"patch reconstruction needs n_max >= 10, got {self.sim.n_max}"
             )
+        PatchPlan.check_probe_limit(self.probe_limit)
         self.c_rule.p_for(self.n)
 
 

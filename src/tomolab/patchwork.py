@@ -26,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import CorrelationSet, SimConfig, derive_seed, simulate_and_accumulate
+from .errors import ConfigError
 from .graphs import Graph, NodeSet, _from_upper, _locate
 from .inference import Classifier, ClassifierMethod, apply_classifier, granger_truncated
 from .weights import CombinationMatrix
@@ -52,10 +53,7 @@ class PatchPlan:
     probe_limit: int
 
     def __post_init__(self):
-        if self.probe_limit < 4:
-            raise ValueError(
-                f"the probe limit must be at least 4, got {self.probe_limit}"
-            )
+        self.check_probe_limit(self.probe_limit)
         if not self.patches:
             raise ValueError("a plan needs at least one patch")
         seen: set[int] = set()
@@ -72,6 +70,12 @@ class PatchPlan:
                 raise ValueError(f"patches overlap on nodes {sorted(overlap)}")
             seen.update(patch.members)
 
+    @staticmethod
+    def check_probe_limit(m: int) -> None:
+        """Refuse, before any draw, a probe limit ``m`` below 4."""
+        if m < 4:
+            raise ConfigError(f"the probe limit must be at least 4, got {m}")
+
     def observable(self) -> NodeSet:
         return NodeSet.of(m for patch in self.patches for m in patch)
 
@@ -86,8 +90,7 @@ def make_patches(s: NodeSet, m: int) -> PatchPlan:
     The last block may be smaller.  ``m`` must be at least 4 so a patch
     union always contains two nodes or more per patch.
     """
-    if m < 4:
-        raise ValueError(f"the probe limit must be at least 4, got {m}")
+    PatchPlan.check_probe_limit(m)
     if len(s) == 0:
         raise ValueError("cannot partition an empty observable set")
     cap = m // 2

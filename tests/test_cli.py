@@ -16,6 +16,7 @@ from tomolab import (
     SimConfig,
     build_matrix,
     experiment_log_csv,
+    lab,
     load_edge_list,
     make_patches,
     ring_graph,
@@ -242,7 +243,6 @@ class TestSimulate:
         assert err == ["error: beta must be a finite positive number, got inf"]
         assert not (tmp_path / "sim").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
     @pytest.mark.parametrize("beta", ["1e160", "1e-170"])
     def test_beta_out_of_range_exits_three(self, generated, tmp_path, capsys, beta):
         rc = run(
@@ -252,9 +252,21 @@ class TestSimulate:
         )
         assert rc == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert err[-1].startswith("numeric error:") and "overflow or underflow" in err[-1]
+        assert len(err) == 1
+        assert err[0].startswith("numeric error:") and "overflow or underflow" in err[0]
         assert not (tmp_path / "sim" / "r0.csv").exists()
         assert not (tmp_path / "sim" / "r1.csv").exists()
+
+    def test_failed_dump_leaves_no_trajectory(self, generated, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = run(
+            "simulate", "--graph", str(generated / "graph.edges"),
+            "--policy", "metropolis", "--rho", "0.8", "--s", "0-5", "--beta", "1e160",
+            "--n-max", "100", "--dump", "--out", str(out),
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numeric error:")
+        assert list(out.iterdir()) == []
 
     def test_observable_must_fit_the_graph(self, generated, tmp_path, capsys):
         rc = run(
@@ -509,6 +521,22 @@ class TestPatchCatchCommand:
         rc = run("patch-catch", "--config", str(cfg), "--out", str(tmp_path / "r"))
         assert rc == 2
         assert "tiebreak" in capsys.readouterr().err
+
+    def test_probe_limit_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        drawn = []
+        instance = lab._instance
+
+        def spy(*args):
+            drawn.append(args)
+            return instance(*args)
+
+        monkeypatch.setattr(lab, "_instance", spy)
+        cfg = self._config(tmp_path, probe_limit=2)
+        rc = run("patch-catch", "--config", str(cfg), "--out", str(tmp_path / "r"))
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the probe limit must be at least 4, got 2"]
+        assert drawn == []
 
 
 

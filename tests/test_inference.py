@@ -37,7 +37,6 @@ from tomolab import (
     sample_er,
     sample_partial_er,
     subgraph,
-    symmetrize,
     two_means_1d,
 )
 from tomolab import inference
@@ -123,9 +122,17 @@ def exact_estimate(n, edges, params, s, beta=1.0):
     return corr, granger_truncated(corr)
 
 
+def pair_means(m):
+    """``(i, j, 0.5 (m[i][j] + m[j][i]))`` for every ``i < j``, by a Python loop: the oracle."""
+    k = len(m)
+    return [
+        (i, j, 0.5 * (float(m[i][j]) + float(m[j][i]))) for i in range(k) for j in range(i + 1, k)
+    ]
+
+
 def kmeans2_margin(a_hat):
     """Lowest upper-cluster score minus highest lower-cluster score; 0 with no split."""
-    vals = symmetrize(a_hat)[np.triu_indices(len(a_hat), 1)]
+    vals = np.array([score for _, _, score in pair_means(a_hat)])
     if vals.size < 2 or np.all(vals == vals[0]):
         return 0.0
     upper, _ = two_means_1d(vals)
@@ -386,19 +393,20 @@ class TestThresholdClassifier:
     def test_strictness_and_direction(self):
         m = np.array(
             [
-                [0.9, 0.30, 0.10],
-                [0.05, 0.9, 0.20],
-                [0.10, 0.05, 0.9],
+                [0.9, 0.375, 0.4],
+                [0.125, 0.9, 0.5],
+                [0.0, 0.125, 0.9],
             ]
         )
-        dec = classify_threshold(m, 0.2)
-        # 0.30 > eta connects (0,1); (1,2) holds exactly eta and stays off
-        assert dec.adjacency[0, 1] and dec.adjacency[1, 0]
-        assert not dec.adjacency[1, 2]
+        dec = classify_threshold(m, 0.25)
+        # the pair means are 0.25 on (0,1), 0.2 on (0,2) and 0.3125 on (1,2):
+        # (1,2) connects and the tie at eta on (0,1) stays off
+        assert dec.adjacency[1, 2] and dec.adjacency[2, 1]
+        assert not dec.adjacency[0, 1]
+        # one directed entry above eta does not connect a pair whose mean is below it
         assert not dec.adjacency[0, 2]
-        # either directed entry can clear the threshold
-        dec_low = classify_threshold(m, 0.08)
-        assert dec_low.adjacency[0, 2]
+        dec_low = classify_threshold(m, 0.125)
+        assert dec_low.adjacency[0, 1] and dec_low.adjacency[0, 2]
 
     def test_monotone_in_eta(self):
         rng = np.random.default_rng(71)
@@ -541,23 +549,21 @@ class TestKMeansClassifier:
 
 
 def dense_threshold(m, eta):
-    """The threshold decision as a dense mask: the oracle."""
-    adj = (m > eta) | (m.T > eta)
-    np.fill_diagonal(adj, True)
+    """The threshold decision on the pair-loop means as a dense mask: the oracle."""
+    adj = np.eye(len(m), dtype=bool)
+    for i, j, score in pair_means(m):
+        adj[i, j] = adj[j, i] = score > eta
     return adj
 
 
 def dense_kmeans2(m):
-    """The 2-means decision as a dense mask: the oracle."""
-    k = len(m)
-    sym = 0.5 * (m + m.T)
-    iu = np.triu_indices(k, 1)
-    vals = sym[iu]
-    adj = np.eye(k, dtype=bool)
+    """The 2-means decision on the pair-loop means as a dense mask: the oracle."""
+    pairs = pair_means(m)
+    vals = np.array([score for _, _, score in pairs])
+    adj = np.eye(len(m), dtype=bool)
     if not np.all(vals == vals[0]):
-        adj[iu] = two_means_1d(vals)[0]
-        adj |= adj.T
-        np.fill_diagonal(adj, True)
+        for (i, j, _), edge in zip(pairs, two_means_1d(vals)[0]):
+            adj[i, j] = adj[j, i] = edge
     return adj
 
 
@@ -568,9 +574,13 @@ class TestClassifiersMatchTheDenseBuild:
         rng = np.random.default_rng(k)
         # entries drawn from a few values, so many sit exactly at ETA
         ties = rng.choice([0.5 * self.ETA, self.ETA, 2.0 * self.ETA], size=(k, k))
+        uniform = rng.uniform(0.0, 1.0, size=(k, k))
+        # dyadic offsets that cancel in every pair: each mean is exactly ETA
+        skew = rng.choice([-0.125, 0.0, 0.125], size=(k, k))
         return {
-            "uniform": rng.uniform(0.0, 1.0, size=(k, k)),
+            "uniform": uniform,
             "equal": np.full((k, k), self.ETA),
+            "equal-asymmetric": self.ETA + skew - skew.T,
             "ties": ties,
             "ties-symmetric": np.triu(ties) + np.triu(ties, 1).T,
         }
@@ -586,17 +596,39 @@ class TestClassifiersMatchTheDenseBuild:
         for name, m in self.matrices(k).items():
             assert same_csr(classify_kmeans2(m), dense_kmeans2(m)), name
 
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    def test_dispatch(self, k):
+        threshold = Classifier(ClassifierMethod.THRESHOLD, self.ETA)
+        for name, m in self.matrices(k).items():
+            assert same_csr(apply_classifier(m, threshold), dense_threshold(m, self.ETA)), name
+            assert same_csr(apply_classifier(m, _KMEANS2), dense_kmeans2(m)), name
+
+    @pytest.mark.parametrize("k", [3, 10, 60])
+    def test_report(self, k):
+        nodes = NodeSet(tuple(range(k)))
+        for name, m in self.matrices(k).items():
+            decided = classify_threshold(m, self.ETA)
+            want = [
+                {"i": i, "j": j, "score": score, "decision": score > self.ETA}
+                for i, j, score in pair_means(m)
+            ]
+            assert classification_report(m, decided, nodes) == want, name
+
     def test_ties_at_eta_stay_disconnected(self):
         m = np.full((4, 4), self.ETA)
         assert classify_threshold(m, self.ETA) == edgeless_graph(4)
+        skew = np.triu(np.full((4, 4), 0.125), 1)
+        assert classify_threshold(m + skew - skew.T, self.ETA) == edgeless_graph(4)
 
 
 class TestClassifierFrontend:
     def test_threshold_dispatch(self):
         m = np.array([[0.5, 0.25, 0.0], [0.05, 0.5, 0.0], [0.0, 0.0, 0.5]])
         cls = Classifier(ClassifierMethod.THRESHOLD, eta=0.1)
-        # dispatch symmetrizes first, so (0,1) carries (0.25 + 0.05) / 2
-        assert apply_classifier(m, cls) == classify_threshold(symmetrize(m), 0.1)
+        # (0,1) carries (0.25 + 0.05) / 2 > eta, and the other pairs 0
+        decided = apply_classifier(m, cls)
+        assert decided == classify_threshold(m, 0.1)
+        assert decided.edge_count() == 1 and decided.adjacency[0, 1]
 
     def test_kmeans_dispatch(self):
         rng = np.random.default_rng(75)
@@ -626,16 +658,14 @@ class TestReportOracle:
             est = rng.normal(size=(k, k))
             decided = sample_er(k, 0.4, rng)
             nodes = NodeSet.of(rng.choice(100, size=k, replace=False))
-            sym = symmetrize(est)
             want = [
                 {
                     "i": nodes[p],
                     "j": nodes[q],
-                    "score": float(sym[p, q]),
+                    "score": score,
                     "decision": bool(decided.adjacency[p, q]),
                 }
-                for p in range(k)
-                for q in range(p + 1, k)
+                for p, q, score in pair_means(est)
             ]
             got = classification_report(est, decided, nodes)
             assert got == want

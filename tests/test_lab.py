@@ -310,6 +310,14 @@ class TestRecoveryExperiment:
         assert 0.0 <= row.ci_lo <= row.fraction <= row.ci_hi <= 1.0
         assert row.fraction == row.perfect / row.trials
 
+    def test_interval_is_the_pinned_normal_approximation(self, monkeypatch):
+        # 2 of 3 trials: 2/3 -/+ 1.96 sqrt(2/27), clipped to [0, 1]
+        monkeypatch.setattr(lab, "_recovery_trial", lambda cfg, n, p, n_index, trial: trial < 2)
+        (row,) = recovery_probability_experiment(_analytic_config(trials=3))
+        assert (row.trials, row.perfect, row.fraction) == (3, 2, 2 / 3)
+        assert row.ci_lo == 0.13322223379388565
+        assert row.ci_hi == 1.0
+
     def test_large_trial_never_builds_a_dense_graph(self, monkeypatch):
         # an analytic trial at N=2000 must run on the CSR rows alone;
         # only |S|-sized graphs may build their dense view

@@ -30,7 +30,6 @@ from tomolab import (
     sample_partial_er,
     simulate_and_accumulate,
     subgraph,
-    symmetrize,
 )
 from conftest import same_csr
 
@@ -323,7 +322,7 @@ class TestProbingRuns:
         plan2 = PatchPlan((NodeSet(tuple(range(6))), NodeSet(tuple(range(6, 12)))), 12)
         state2 = run_patch_catch(a, plan2, cfg, 0, truth=truth)
         corr = simulate_and_accumulate(a, cfg, s, 0)
-        direct = classify_kmeans2(symmetrize(granger_truncated(corr)))
+        direct = classify_kmeans2(granger_truncated(corr))
         assert state2.estimated_graph() == direct
 
     def test_shared_and_fresh_trajectories_both_work(self):
