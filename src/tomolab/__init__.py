@@ -56,11 +56,9 @@ from .inference import (
     two_means_1d,
 )
 from .patchwork import (
-    PairStatus,
     PatchPlan,
     ReconstructionState,
     TieBreak,
-    experiment_log_csv,
     graph_distance,
     make_patches,
     run_patch_catch,

@@ -345,6 +345,12 @@ def _cmd_patch_catch(args) -> int:
     cfg = _Fields(_load_config(args.config), args.config)
     policy = _policy(cfg.section("policy"))
     seed = _seed(cfg.get("seed", int, 0), f"field 'seed' in {cfg.where}")
+    # one trajectory serves every experiment; the field still parses so older configs run
+    if not cfg.get("shared_trajectory", bool, True):
+        raise ConfigError(
+            f"field 'shared_trajectory' in {cfg.where} must be true: "
+            "every experiment reads its correlations off one trajectory"
+        )
     experiment = PatchCatchConfig(
         n=cfg.get("n", int),
         c_rule=_c_rule(cfg.section("c_rule")),
@@ -355,7 +361,6 @@ def _cmd_patch_catch(args) -> int:
         trials=cfg.get("trials", int),
         base_seed=seed if args.seed is None else args.seed,
         tiebreak=cfg.get("tiebreak", TieBreak, TieBreak.FIRST),
-        shared_trajectory=cfg.get("shared_trajectory", bool, True),
         embedded=_embedded(cfg.section("embedded", {"kind": "match_p"})),
     )
     cfg.done()
@@ -477,6 +482,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", None) is not None:  # None: not given
             _seed(args.seed, "--seed")
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

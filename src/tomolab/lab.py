@@ -16,6 +16,8 @@ scheduled across worker threads.  The environment variable
 
 from __future__ import annotations
 
+import csv
+import io
 import logging
 import math
 import os
@@ -37,10 +39,9 @@ from .graphs import (
     ring_graph,
     sample_er,
     sample_partial_er,
-    subgraph,
 )
 from .inference import Classifier, apply_classifier, granger_truncated
-from .patchwork import PatchPlan, TieBreak, _csv_text, graph_distance, make_patches, run_patch_catch
+from .patchwork import PatchPlan, TieBreak, graph_distance, make_patches, run_patch_catch
 from .weights import CombinationMatrix, PolicyParams, build_matrix
 
 logger = logging.getLogger(__name__)
@@ -58,6 +59,15 @@ def resolve_threads(requested: int | None) -> int:
         except ValueError:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}")
     return wanted
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """``header`` and ``rows`` as CSV text, with the csv module's CRLF line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _map_trials(fn, count: int, threads: int | None) -> list:
@@ -87,8 +97,8 @@ class CRule:
         if self.kind == "loglog" and self.value is not None:
             raise ConfigError("the loglog rule takes no parameter")
         if self.kind == "multiple":
-            if self.value is None or self.value <= 0:
-                raise ConfigError("the multiple rule needs a positive factor")
+            if self.value is None or not 0.0 < self.value < math.inf:
+                raise ConfigError("the multiple rule needs a finite positive factor")
         if self.kind == "explicit":
             if self.value is None or not 0.0 < self.value <= 1.0:
                 raise ConfigError("the explicit rule needs a probability in (0, 1]")
@@ -300,7 +310,6 @@ class PatchCatchConfig:
     trials: int
     base_seed: int = 0
     tiebreak: TieBreak = TieBreak.FIRST
-    shared_trajectory: bool = True
     embedded: EmbeddedSource = EmbeddedSource("match_p")
 
     def __post_init__(self):
@@ -327,20 +336,19 @@ class PatchCatchTrial:
 
 def _patch_catch_trial(cfg: PatchCatchConfig, trial: int) -> PatchCatchTrial:
     p = cfg.c_rule.p_for(cfg.n)
-    s, _, g, a = _instance(cfg, cfg.n, p, derive_seed(cfg.base_seed, trial))
+    # sample_partial_er installs the plant on s as drawn, so it is the truth there
+    s, planted, _, a = _instance(cfg, cfg.n, p, derive_seed(cfg.base_seed, trial))
     plan = make_patches(s, cfg.probe_limit)
-    truth = subgraph(g, s)
     state = run_patch_catch(
         a,
         plan,
         cfg.sim,
         derive_seed(cfg.base_seed, trial, 1),
         tiebreak=cfg.tiebreak,
-        truth=truth,
-        shared_trajectory=cfg.shared_trajectory,
+        truth=planted,
     )
     trace = [rec.distance for rec in state.experiment_log]
-    final = graph_distance(truth, state.estimated_graph())
+    final = graph_distance(planted, state.estimated_graph())
     return PatchCatchTrial(trial, final, trace)
 
 

@@ -10,22 +10,20 @@ per partner patch, so a tie-break policy settles repeat appearances.
 The decisions are one ``|S| x |S|`` int8 matrix (``-1`` undecided, ``0``
 disconnected, ``1`` connected).  A merge finds the union's positions in
 ``S`` with one sorted lookup and updates its block of the matrix with
-array operations, so no Python loop runs over pairs; the dict of
-:class:`PairStatus` values is built only when ``status`` is read.  Given
-the true graph, a campaign records after every merge the
-:func:`graph_distance` of the estimate so far.
+array operations, so no Python loop runs over pairs.  One trajectory of
+the whole observable set serves every experiment, each reading its
+union's correlations off it.  Given the true graph, a campaign records
+after every merge the :func:`graph_distance` of the estimate so far.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dynamics import CorrelationSet, SimConfig, derive_seed, simulate_and_accumulate
+from .dynamics import SimConfig, simulate_and_accumulate
 from .errors import ConfigError
 from .graphs import Graph, NodeSet, _from_upper, _locate
 from .inference import Classifier, ClassifierMethod, apply_classifier, granger_truncated
@@ -37,12 +35,6 @@ _KMEANS2 = Classifier(ClassifierMethod.KMEANS2)
 class TieBreak(Enum):
     FIRST = "first"
     AND = "and"
-
-
-class PairStatus(Enum):
-    CONNECTED = "connected"
-    DISCONNECTED = "disconnected"
-    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -119,25 +111,12 @@ class ReconstructionState:
     stays ``-1``.
     """
 
-    # indexed by the code, so -1 picks UNDECIDED
-    _STATUS = (PairStatus.DISCONNECTED, PairStatus.CONNECTED, PairStatus.UNDECIDED)
-
     def __init__(self, s: NodeSet):
         self.s = s
         k = len(s)
         self._code = np.full((k, k), -1, dtype=np.int8)
         self._upper = np.triu(np.ones((k, k), dtype=bool), 1)
         self.experiment_log: list[ExperimentRecord] = []
-
-    @property
-    def status(self) -> dict[tuple[int, int], PairStatus]:
-        """Every pair ``(s[i], s[j])`` with ``i < j`` and its current status."""
-        i, j = np.nonzero(self._upper)
-        m = self.s.members
-        codes = self._code[i, j].tolist()
-        return {
-            (m[p], m[q]): self._STATUS[c] for p, q, c in zip(i.tolist(), j.tolist(), codes)
-        }
 
     def decided_count(self) -> int:
         # codes are -1 off the upper triangle, so every code >= 0 is a decided pair
@@ -209,18 +188,15 @@ def run_patch_catch(
     seed: int,
     tiebreak: TieBreak = TieBreak.FIRST,
     truth: Graph | None = None,
-    shared_trajectory: bool = True,
 ) -> ReconstructionState:
     """Probe every patch pair and assemble the observable region's graph.
 
     Pairs ``(i, j)`` of patch indices are visited with ``i`` ascending and
-    ``j < i``.  Each experiment estimates empirical correlations on the
-    patch union, applies the truncated estimator and the 2-means
-    classifier, and merges the outcome.  With ``shared_trajectory`` one
-    long simulation from ``seed`` covers the whole observable set and every
-    experiment reads its correlations off that single run; otherwise each
-    experiment simulates afresh from ``derive_seed(seed, experiment)``.  A
-    union too small to split is refused before any simulation.
+    ``j < i``.  One simulation from ``seed`` covers the whole observable
+    set; each experiment reads the patch union's correlations off it,
+    applies the truncated estimator and the 2-means classifier, and merges
+    the outcome.  A union too small to split is refused before any
+    simulation.
 
     ``truth`` (a graph on the plan's observable set, in set order) enables
     the per-experiment distance trace: after each merge,
@@ -231,51 +207,19 @@ def run_patch_catch(
     if truth is not None and truth.n != len(s_all):
         raise ValueError("truth graph must cover exactly the observable set")
     pairs = [(j, i) for i in range(plan.patch_count) for j in range(i)]
-    if pairs:
-        smallest = sorted(len(patch) for patch in plan.patches)
-        _KMEANS2.check_observed(smallest[0] + smallest[1])
-
     state = ReconstructionState(s_all)
-    shared: CorrelationSet | None = None
-    if shared_trajectory and plan.patch_count > 1:
-        shared = simulate_and_accumulate(a, cfg, s_all, seed)
+    if not pairs:
+        return state
+    smallest = sorted(len(patch) for patch in plan.patches)
+    _KMEANS2.check_observed(smallest[0] + smallest[1])
 
+    corr = simulate_and_accumulate(a, cfg, s_all, seed)
     for exp_index, (j, i) in enumerate(pairs):
         union = plan.patches[j].union(plan.patches[i])
-        if shared is not None:
-            corr = shared.restrict(union)
-        else:
-            corr = simulate_and_accumulate(a, cfg, union, derive_seed(seed, exp_index))
-        decided = apply_classifier(granger_truncated(corr), _KMEANS2)
+        decided = apply_classifier(granger_truncated(corr.restrict(union)), _KMEANS2)
         state.absorb(union, decided, tiebreak)
         dist = None if truth is None else graph_distance(truth, state.estimated_graph())
         state.experiment_log.append(
             ExperimentRecord(exp_index, j, i, state.decided_count(), dist)
         )
     return state
-
-
-def _csv_text(header: list[str], rows) -> str:
-    """``header`` and ``rows`` as CSV text, with the csv module's CRLF line ends."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def experiment_log_csv(state: ReconstructionState) -> str:
-    """Log as ``experiment_index,patch_a,patch_b,pairs_decided,distance`` CSV."""
-    return _csv_text(
-        ["experiment_index", "patch_a", "patch_b", "pairs_decided", "distance"],
-        (
-            [
-                rec.index,
-                rec.patch_a,
-                rec.patch_b,
-                rec.pairs_decided,
-                "" if rec.distance is None else repr(rec.distance),
-            ]
-            for rec in state.experiment_log
-        ),
-    )

@@ -15,7 +15,6 @@ from tomolab import (
     PolicyParams,
     SimConfig,
     build_matrix,
-    experiment_log_csv,
     lab,
     load_edge_list,
     make_patches,
@@ -31,6 +30,20 @@ from conftest import traced_peak
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The calls of ``lab._instance``, which draws each trial's network."""
+    calls = []
+    instance = lab._instance
+
+    def spy(*args):
+        calls.append(args)
+        return instance(*args)
+
+    monkeypatch.setattr(lab, "_instance", spy)
+    return calls
 
 
 class TestNodeRange:
@@ -522,20 +535,21 @@ class TestPatchCatchCommand:
         assert rc == 2
         assert "tiebreak" in capsys.readouterr().err
 
-    def test_probe_limit_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        drawn = []
-        instance = lab._instance
-
-        def spy(*args):
-            drawn.append(args)
-            return instance(*args)
-
-        monkeypatch.setattr(lab, "_instance", spy)
+    def test_probe_limit_refused_before_any_draw(self, tmp_path, capsys, drawn):
         cfg = self._config(tmp_path, probe_limit=2)
         rc = run("patch-catch", "--config", str(cfg), "--out", str(tmp_path / "r"))
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: the probe limit must be at least 4, got 2"]
+        assert drawn == []
+
+    def test_fresh_trajectories_refused_before_any_draw(self, tmp_path, capsys, drawn):
+        # every experiment reads one trajectory; true is the one value the field takes
+        cfg = self._config(tmp_path, shared_trajectory=False)
+        rc = run("patch-catch", "--config", str(cfg), "--out", str(tmp_path / "r"))
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: field 'shared_trajectory' in {cfg}")
         assert drawn == []
 
 
@@ -618,6 +632,15 @@ _MALFORMED = {
         "recovery-prob", _with(_RECOVERY, "correlations", burnin=7), "'burnin'"
     ),
     "unknown-in-sim": ("patch-catch", _with(_PATCH, "sim", burnin=7), "'burnin'"),
+    "value-nan": (
+        "recovery-prob", _with(_RECOVERY, "c_rule", value=float("nan")), "finite positive factor"
+    ),
+    "value-inf": (
+        "patch-catch", _with(_PATCH, "c_rule", value=float("inf")), "finite positive factor"
+    ),
+    "value-minus-inf": (
+        "recovery-prob", _with(_RECOVERY, "c_rule", value=float("-inf")), "finite positive factor"
+    ),
     "tie_break-misspelt": ("patch-catch", _with(_PATCH, None, tie_break="and"), "'tie_break'"),
     "beta-in-analytic": (
         "recovery-prob", _with(_RECOVERY, None, correlations={"mode": "analytic", "beta": 0.2}),
@@ -639,6 +662,19 @@ def test_malformed_config_exits_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+@pytest.mark.parametrize("command", ["recovery-prob", "patch-catch"])
+def test_thread_count_below_one_refused_before_any_draw(tmp_path, capsys, drawn, command, threads):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"recovery-prob": _RECOVERY, "patch-catch": _PATCH}[command]))
+    argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--threads", threads]
+    assert run(command, *argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --threads must be at least 1, got {threads}"]
+    assert drawn == []
+
 
 class TestTheoryCheckCommand:
     def test_default_grid(self, capsys):
@@ -668,6 +704,12 @@ class TestTheoryCheckCommand:
         assert run("theory-check", "--rho", "0.8", "--grid", grid) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+    def test_non_finite_multiple_refused(self, capsys, factor):
+        assert run("theory-check", "--rho", "0.8", f"--multiple={factor}") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the multiple rule needs a finite positive factor"]
 
     def test_multiple_rule_option(self, capsys):
         # a denser rule needs larger sizes before the radius reaches one
@@ -721,10 +763,11 @@ GOLDEN_R0 = (
     b"0.024948833285809765,0.07599245486309907,0.016627912924778655\n"
     b"0.0001063137638931359,0.016627912924778655,0.05907310739162721\n"
 )
+# (index, patch_a, patch_b, pairs_decided, distance) of each experiment record
 GOLDEN_LOG = (
-    "experiment_index,patch_a,patch_b,pairs_decided,distance\r\n"
-    "0,0,1,6,0.13333333333333333\r\n1,0,2,11,0.06666666666666667\r\n"
-    "2,1,2,15,0.0\r\n"
+    (0, 0, 1, 6, 0.13333333333333333),
+    (1, 0, 2, 11, 0.06666666666666667),
+    (2, 1, 2, 15, 0.0),
 )
 GOLDEN_RECOVERY_JSON = (
     b'{\n  "schema": 1,\n  "rows": [\n'
@@ -754,6 +797,13 @@ GOLDEN_TRAJECTORY_HEAD = (
 GOLDEN_TRAJECTORY_SIZE = 46870
 GOLDEN_TRAJECTORY_SHA256 = "4806c13daa06d7d0f237b3d6a062c476f2ce18c8d4651cfdd3a66e4b50a6bcdf"
 
+# the campaign config behind GOLDEN_FINAL and GOLDEN_TRACE
+_GOLDEN_CAMPAIGN = {
+    "n": 40, "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 8,
+    "probe_limit": 4, "policy": {"rule": "metropolis", "rho": 0.8},
+    "sim": {"n_max": 2000, "burn_in": 100}, "trials": 2, "seed": 5,
+}
+
 
 class TestGoldenBytes:
     def test_experiment_tables(self, tmp_path, capsys):
@@ -764,11 +814,7 @@ class TestGoldenBytes:
             "correlations": {"mode": "empirical", "n_max": 4000, "burn_in": 50},
         }))
         pc = tmp_path / "pc.json"
-        pc.write_text(json.dumps({
-            "n": 40, "c_rule": {"kind": "multiple", "value": 3.0}, "s_size": 8,
-            "probe_limit": 4, "policy": {"rule": "metropolis", "rho": 0.8},
-            "sim": {"n_max": 2000, "burn_in": 100}, "trials": 2, "seed": 5,
-        }))
+        pc.write_text(json.dumps(_GOLDEN_CAMPAIGN))
         assert run("recovery-prob", "--config", str(rp), "--out", str(tmp_path / "rp")) == 0
         assert run("patch-catch", "--config", str(pc), "--out", str(tmp_path / "pc")) == 0
         assert run(
@@ -780,6 +826,15 @@ class TestGoldenBytes:
         assert (tmp_path / "pc" / "trace.csv").read_bytes() == GOLDEN_TRACE
         assert (tmp_path / "th" / "theory.csv").read_bytes() == GOLDEN_THEORY
         assert (tmp_path / "rp" / "recovery.json").read_bytes() == GOLDEN_RECOVERY_JSON
+
+    def test_shared_trajectory_true_keeps_the_bytes(self, tmp_path, capsys):
+        # older configs carry the field; true is the one value it takes
+        pc = tmp_path / "pc.json"
+        pc.write_text(json.dumps({**_GOLDEN_CAMPAIGN, "shared_trajectory": True}))
+        assert run("patch-catch", "--config", str(pc), "--out", str(tmp_path / "pc")) == 0
+        capsys.readouterr()
+        assert (tmp_path / "pc" / "final.csv").read_bytes() == GOLDEN_FINAL
+        assert (tmp_path / "pc" / "trace.csv").read_bytes() == GOLDEN_TRACE
 
     def test_matrix_files(self, tmp_path, capsys):
         net = tmp_path / "net"
@@ -870,7 +925,11 @@ class TestGoldenBytes:
             1,
             truth=truth,
         )
-        assert experiment_log_csv(state) == GOLDEN_LOG
+        log = tuple(
+            (rec.index, rec.patch_a, rec.patch_b, rec.pairs_decided, rec.distance)
+            for rec in state.experiment_log
+        )
+        assert log == GOLDEN_LOG
 
 class TestEntryPoint:
     def test_missing_subcommand_exits_via_argparse(self):

@@ -27,11 +27,13 @@ from tomolab import (
     complete_graph,
     derive_seed,
     edgeless_graph,
+    from_edges,
     lab,
     patch_catch_experiment,
     recovery_probability_experiment,
     ring_graph,
     simulate_and_accumulate,
+    subgraph,
     theory_check,
 )
 from tomolab.lab import (
@@ -125,6 +127,11 @@ class TestSparsityRules:
             CRule("multiple", 0.0)
         with pytest.raises(ConfigError, match=r"probability in \(0, 1\]"):
             CRule("explicit", 1.5)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_refused(self, factor):
+        with pytest.raises(ConfigError, match="the multiple rule needs a finite positive factor"):
+            CRule.multiple(factor)
 
 
 class TestEmbeddedSources:
@@ -444,6 +451,16 @@ class TestPatchCatchCampaign:
         trace = patch_catch_trace_csv(results).strip().splitlines()
         assert trace[0] == "trial,experiment_index,distance"
         assert trace[1].split(",")[:2] == ["0", "0"]
+
+    @pytest.mark.parametrize("kind", ["er", "match_p", "ring", "explicit"])
+    def test_planted_graph_is_the_truth_on_s(self, kind):
+        # a trial scores its campaign against the plant, which the network carries on s
+        graph = from_edges(8, [(0, 5), (1, 2), (3, 7)]) if kind == "explicit" else None
+        cfg = _patch_config(embedded=EmbeddedSource(kind, graph=graph))
+        p = cfg.c_rule.p_for(cfg.n)
+        for seed in range(20):
+            s, planted, g, _ = lab._instance(cfg, cfg.n, p, seed)
+            assert subgraph(g, s) == planted
 
     def test_thread_count_does_not_change_results(self):
         cfg = _patch_config()

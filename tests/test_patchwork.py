@@ -1,6 +1,7 @@
 """Patch planning, pairwise probing experiments and decision merging."""
 
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from tomolab import (
     CombinationRule,
     ConfigError,
     NodeSet,
-    PairStatus,
     PartialErSpec,
     PatchPlan,
     PolicyParams,
@@ -20,7 +20,6 @@ from tomolab import (
     classify_kmeans2,
     complete_graph,
     edgeless_graph,
-    experiment_log_csv,
     from_edges,
     granger_truncated,
     graph_distance,
@@ -96,19 +95,22 @@ class TestDecisionMerging:
         state = ReconstructionState(self.s)
         state.absorb(self.u, from_edges(3, [(0, 1)]), TieBreak.FIRST)
         state.absorb(self.u, edgeless_graph(3), TieBreak.FIRST)
-        assert state.status[(0, 1)] is PairStatus.CONNECTED
+        assert state.estimated_graph() == from_edges(4, [(0, 1)])
+        assert state.decided_count() == 3
 
     def test_and_demotes_on_disagreement(self):
         state = ReconstructionState(self.s)
         state.absorb(self.u, from_edges(3, [(0, 1)]), TieBreak.AND)
         state.absorb(self.u, edgeless_graph(3), TieBreak.AND)
-        assert state.status[(0, 1)] is PairStatus.DISCONNECTED
+        assert state.estimated_graph() == edgeless_graph(4)
+        assert state.decided_count() == 3
 
     def test_and_never_promotes(self):
         state = ReconstructionState(self.s)
         state.absorb(self.u, edgeless_graph(3), TieBreak.AND)
         state.absorb(self.u, from_edges(3, [(0, 1)]), TieBreak.AND)
-        assert state.status[(0, 1)] is PairStatus.DISCONNECTED
+        assert state.estimated_graph() == edgeless_graph(4)
+        assert state.decided_count() == 3
 
     def test_undecided_pairs_score_as_disconnected(self):
         state = ReconstructionState(self.s)
@@ -130,8 +132,14 @@ class TestDecisionMerging:
             state.absorb(self.u, edgeless_graph(4), TieBreak.FIRST)
 
 
+class PairStatus(Enum):
+    CONNECTED = "connected"
+    DISCONNECTED = "disconnected"
+    UNDECIDED = "undecided"
+
+
 class DictReconstructionState:
-    """The dict-of-``PairStatus`` merge state, kept as the oracle."""
+    """A dict-of-``PairStatus`` merge state, kept as the oracle."""
 
     def __init__(self, s):
         self.s = s
@@ -223,7 +231,6 @@ class TestMergeStateOracle:
             vote = random_vote(rng, m)
             state.absorb(union, vote, tiebreak)
             oracle.absorb(union, vote, tiebreak)
-            assert list(state.status.items()) == list(oracle.status.items())
             assert state.decided_count() == oracle.decided_count()
             assert state.undecided_pairs() == oracle.undecided_pairs()
             assert np.array_equal(state.estimated_graph().adjacency, oracle.estimated_graph())
@@ -251,7 +258,7 @@ class TestMergeStateOracle:
         assert state.decided_count() == 0
 
 
-def small_campaign(seed=0, tiebreak=TieBreak.FIRST, shared=True):
+def small_campaign(seed=0, tiebreak=TieBreak.FIRST):
     """12 observable nodes in a 60-node network, three patches of four."""
     n, s_size = 60, 12
     p = 2.5 * math.log(n) / n
@@ -263,9 +270,7 @@ def small_campaign(seed=0, tiebreak=TieBreak.FIRST, shared=True):
     plan = make_patches(s, 8)
     cfg = SimConfig(beta=0.2, n_max=40_000, burn_in=500)
     truth = subgraph(g, s)
-    state = run_patch_catch(
-        a, plan, cfg, seed, tiebreak=tiebreak, truth=truth, shared_trajectory=shared
-    )
+    state = run_patch_catch(a, plan, cfg, seed, tiebreak=tiebreak, truth=truth)
     return state, truth, a, plan, cfg
 
 
@@ -325,12 +330,6 @@ class TestProbingRuns:
         direct = classify_kmeans2(granger_truncated(corr))
         assert state2.estimated_graph() == direct
 
-    def test_shared_and_fresh_trajectories_both_work(self):
-        state_a, truth, _, _, _ = small_campaign(shared=True)
-        state_b, _, _, _, _ = small_campaign(shared=False)
-        assert state_a.experiment_log[-1].distance <= 3 / 66
-        assert state_b.experiment_log[-1].distance <= 3 / 66
-
     def test_experiment_order(self):
         state, _, _, _, _ = small_campaign()
         order = [(rec.patch_a, rec.patch_b) for rec in state.experiment_log]
@@ -349,18 +348,8 @@ class TestProbingRuns:
 
 
 class TestExperimentLog:
-    def test_csv_layout(self):
-        state, _, _, _, _ = small_campaign()
-        text = experiment_log_csv(state)
-        lines = text.strip().splitlines()
-        assert lines[0] == "experiment_index,patch_a,patch_b,pairs_decided,distance"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0" and first[2] == "1"
-        float(first[4])
-
     def test_distance_blank_without_truth(self):
         _, _, a, plan, cfg = small_campaign()
         state = run_patch_catch(a, plan, cfg, 0)
-        lines = experiment_log_csv(state).strip().splitlines()
-        assert lines[1].endswith(",")
+        assert len(state.experiment_log) == 3
+        assert all(rec.distance is None for rec in state.experiment_log)

@@ -1,10 +1,16 @@
-"""The README's library example runs as written and its command lines parse."""
+"""The README's library example runs as written, its command lines parse,
+and its JSON configs are accepted by their commands."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
-from tomolab.cli import build_parser
+import pytest
+
+from tomolab import cli
+from tomolab.cli import build_parser, main
+from tomolab.lab import PatchCatchTrial, RecoveryRow
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +32,36 @@ def test_command_lines_parse():
     assert len(commands) == 6
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def _json_blocks() -> list[dict]:
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    return [json.loads(block) for block in blocks]
+
+
+# the block's marker field -> its command and that command's driver, with a stub result
+_COMMANDS = {
+    "n_grid": (
+        "recovery-prob", "recovery_probability_experiment", [RecoveryRow(100, 1, 1, 1.0, 1.0, 1.0)]
+    ),
+    "probe_limit": ("patch-catch", "patch_catch_experiment", [PatchCatchTrial(0, 0.0, [0.0])]),
+}
+
+
+def test_json_blocks_are_one_per_command():
+    markers = [[key for key in _COMMANDS if key in block] for block in _json_blocks()]
+    assert sorted(markers) == [["n_grid"], ["probe_limit"]]
+
+
+@pytest.mark.parametrize("marker", list(_COMMANDS))
+def test_json_block_is_accepted(marker, tmp_path, capsys, monkeypatch):
+    # the driver is stubbed: every field is read and checked, and nothing runs
+    (config,) = [block for block in _json_blocks() if marker in block]
+    command, driver, result = _COMMANDS[marker]
+    seen = []
+    monkeypatch.setattr(cli, driver, lambda cfg, threads=None: seen.append(cfg) or result)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(seen) == 1 and seen[0].trials == config["trials"]
