@@ -56,7 +56,6 @@ from .inference import (
     two_means_1d,
 )
 from .patchwork import (
-    PatchPlan,
     ReconstructionState,
     TieBreak,
     graph_distance,

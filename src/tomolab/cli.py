@@ -33,6 +33,7 @@ from .lab import (
     ExperimentConfig,
     PatchCatchConfig,
     TheoryCheckConfig,
+    check_seed,
     correlations,
     patch_catch_experiment,
     patch_catch_rows_csv,
@@ -76,12 +77,6 @@ def parse_node_range(text: str, n: int) -> NodeSet:
     if top >= n:
         raise ConfigError(f"node id {top} out of range for a {n}-node graph")
     return NodeSet(np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in bounds])))
-
-
-def _seed(value: int, name: str) -> int:
-    if value < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {value}")
-    return value
 
 
 def _option_float(text: str, option: str) -> float:
@@ -313,7 +308,7 @@ def _cmd_recovery_prob(args) -> int:
     if mode not in ("analytic", "empirical"):
         raise ConfigError(f"unknown correlation mode {mode!r}")
     sim = _sim(corr, policy) if mode == "empirical" else None
-    seed = _seed(cfg.get("seed", int, 0), f"field 'seed' in {cfg.where}")
+    seed = check_seed(cfg.get("seed", int, 0), f"field 'seed' in {cfg.where}")
     experiment = ExperimentConfig(
         n_grid=tuple(n_grid),
         c_rule=_c_rule(cfg.section("c_rule")),
@@ -344,7 +339,7 @@ def _cmd_recovery_prob(args) -> int:
 def _cmd_patch_catch(args) -> int:
     cfg = _Fields(_load_config(args.config), args.config)
     policy = _policy(cfg.section("policy"))
-    seed = _seed(cfg.get("seed", int, 0), f"field 'seed' in {cfg.where}")
+    seed = check_seed(cfg.get("seed", int, 0), f"field 'seed' in {cfg.where}")
     # one trajectory serves every experiment; the field still parses so older configs run
     if not cfg.get("shared_trajectory", bool, True):
         raise ConfigError(
@@ -481,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:  # None: not given
-            _seed(args.seed, "--seed")
+            check_seed(args.seed, "--seed")
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)

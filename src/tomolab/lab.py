@@ -11,7 +11,7 @@ resolved at each ``N`` and ``p``.
 Every trial derives its network and trajectory seeds from ``(base_seed,
 N index, trial index)``, so results do not depend on how trials are
 scheduled across worker threads.  The environment variable
-``TOMOLAB_THREADS`` caps the thread pool size.
+``TOMOLAB_THREADS``, a positive integer, caps the thread pool size.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .graphs import (
     sample_partial_er,
 )
 from .inference import Classifier, apply_classifier, granger_truncated
-from .patchwork import PatchPlan, TieBreak, graph_distance, make_patches, run_patch_catch
+from .patchwork import TieBreak, check_probe_limit, graph_distance, run_patch_catch
 from .weights import CombinationMatrix, PolicyParams, build_matrix
 
 logger = logging.getLogger(__name__)
@@ -50,14 +50,17 @@ THREADS_ENV = "TOMOLAB_THREADS"
 
 
 def resolve_threads(requested: int | None) -> int:
-    """Thread count after applying the environment cap; at least 1."""
+    """Thread count after applying the environment cap, a positive integer; at least 1."""
     wanted = 1 if requested is None else max(1, int(requested))
     cap = os.environ.get(THREADS_ENV)
     if cap is not None:
         try:
-            wanted = min(wanted, max(1, int(cap)))
+            limit = int(cap)
+            if limit < 1:
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}")
+            raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {cap!r}") from None
+        wanted = min(wanted, limit)
     return wanted
 
 
@@ -202,6 +205,13 @@ def correlations(a: CombinationMatrix, s: NodeSet, seed: int, sim: SimConfig | N
     return simulate_and_accumulate(a, sim, s, seed)
 
 
+def check_seed(value: int, name: str) -> int:
+    """``value``, or a ``ConfigError`` naming ``name`` if it is negative."""
+    if value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Recovery-probability sweep over a size grid."""
@@ -223,6 +233,7 @@ class ExperimentConfig:
             raise ConfigError("the observable set must be nonempty")
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        check_seed(self.base_seed, "base_seed")
         self.classifier.check_observed(self.s_size)
         for n in self.n_grid:
             self.c_rule.p_for(n)
@@ -319,11 +330,12 @@ class PatchCatchConfig:
             )
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        check_seed(self.base_seed, "base_seed")
         if self.sim.n_max < 10:
             raise ConfigError(
                 f"patch reconstruction needs n_max >= 10, got {self.sim.n_max}"
             )
-        PatchPlan.check_probe_limit(self.probe_limit)
+        check_probe_limit(self.probe_limit)
         self.c_rule.p_for(self.n)
 
 
@@ -338,10 +350,10 @@ def _patch_catch_trial(cfg: PatchCatchConfig, trial: int) -> PatchCatchTrial:
     p = cfg.c_rule.p_for(cfg.n)
     # sample_partial_er installs the plant on s as drawn, so it is the truth there
     s, planted, _, a = _instance(cfg, cfg.n, p, derive_seed(cfg.base_seed, trial))
-    plan = make_patches(s, cfg.probe_limit)
     state = run_patch_catch(
         a,
-        plan,
+        s,
+        cfg.probe_limit,
         cfg.sim,
         derive_seed(cfg.base_seed, trial, 1),
         tiebreak=cfg.tiebreak,
@@ -426,12 +438,14 @@ def check_small_distance_rarity(
     search from all of node 0's unobserved neighbors at once finds the
     nearest of them for every node; it needs the whole graph.
 
-    The configuration is checked before any draw: ``ConfigError`` when
-    ``N p <= 1`` or ``r_N < 1``, ``ValueError`` for a bad trial count,
-    edge probability or observable size.
+    The configuration is checked before any draw: ``ConfigError`` for a
+    negative ``base_seed`` and when ``N p <= 1`` or ``r_N < 1``,
+    ``ValueError`` for a bad trial count, edge probability or observable
+    size.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    check_seed(base_seed, "base_seed")
     if not 0.0 < p < 1.0:
         raise ValueError(f"edge probability must be in (0, 1), got {p}")
     np_prod = n * p

@@ -1,11 +1,13 @@
 """Patch-based reconstruction of a large observable region.
 
 When the tomography machinery can only ingest ``M`` nodes at a time, the
-observable set is split into patches of at most ``M // 2`` nodes and every
-patch pair is probed in turn: estimate the combination submatrix on the
-union of the two patches, classify its pairs, and merge the decisions into
-a growing picture of the region.  Pairs internal to a patch are probed once
-per partner patch, so a tie-break policy settles repeat appearances.
+observable set ``S`` is sliced into consecutive patches of ``M // 2``
+nodes (:func:`make_patches`), so ``(S, M)`` alone fixes a campaign, and
+every patch pair is probed in turn: estimate the combination submatrix on
+the union of the two patches, classify its pairs, and merge the decisions
+into a growing picture of the region.  Pairs internal to a patch are
+probed once per partner patch, so a tie-break policy settles repeat
+appearances.
 
 The decisions are one ``|S| x |S|`` int8 matrix (``-1`` undecided, ``0``
 disconnected, ``1`` connected).  A merge finds the union's positions in
@@ -37,60 +39,25 @@ class TieBreak(Enum):
     AND = "and"
 
 
-@dataclass(frozen=True)
-class PatchPlan:
-    """Disjoint patches covering the observable region."""
-
-    patches: tuple[NodeSet, ...]
-    probe_limit: int
-
-    def __post_init__(self):
-        self.check_probe_limit(self.probe_limit)
-        if not self.patches:
-            raise ValueError("a plan needs at least one patch")
-        seen: set[int] = set()
-        cap = self.probe_limit // 2
-        for patch in self.patches:
-            if len(patch) == 0:
-                raise ValueError("patches must be nonempty")
-            if len(patch) > cap:
-                raise ValueError(
-                    f"patch of size {len(patch)} exceeds the per-patch cap {cap}"
-                )
-            overlap = seen & set(patch.members)
-            if overlap:
-                raise ValueError(f"patches overlap on nodes {sorted(overlap)}")
-            seen.update(patch.members)
-
-    @staticmethod
-    def check_probe_limit(m: int) -> None:
-        """Refuse, before any draw, a probe limit ``m`` below 4."""
-        if m < 4:
-            raise ConfigError(f"the probe limit must be at least 4, got {m}")
-
-    def observable(self) -> NodeSet:
-        return NodeSet.of(m for patch in self.patches for m in patch)
-
-    @property
-    def patch_count(self) -> int:
-        return len(self.patches)
+def check_probe_limit(m: int) -> None:
+    """Refuse, before any draw, a probe limit ``m`` below 4."""
+    if m < 4:
+        raise ConfigError(f"the probe limit must be at least 4, got {m}")
 
 
-def make_patches(s: NodeSet, m: int) -> PatchPlan:
+def make_patches(s: NodeSet, m: int) -> tuple[NodeSet, ...]:
     """Slice ``s`` into consecutive blocks of ``m // 2`` nodes.
 
-    The last block may be smaller.  ``m`` must be at least 4 so a patch
-    union always contains two nodes or more per patch.
+    The blocks are disjoint, nonempty and cover ``s`` in order; the last
+    may be smaller.  ``m`` must be at least 4, so any two blocks together
+    hold ``m // 2 + 1 >= 3`` nodes, enough for the 2-means split.
     """
-    PatchPlan.check_probe_limit(m)
+    check_probe_limit(m)
     if len(s) == 0:
         raise ValueError("cannot partition an empty observable set")
     cap = m // 2
     members = s.members
-    blocks = [
-        NodeSet(members[i : i + cap]) for i in range(0, len(members), cap)
-    ]
-    return PatchPlan(tuple(blocks), m)
+    return tuple(NodeSet(members[i : i + cap]) for i in range(0, len(members), cap))
 
 
 @dataclass
@@ -183,39 +150,36 @@ def graph_distance(g_true: Graph, g_est: Graph) -> float:
 
 def run_patch_catch(
     a: CombinationMatrix,
-    plan: PatchPlan,
+    s: NodeSet,
+    probe_limit: int,
     cfg: SimConfig,
     seed: int,
     tiebreak: TieBreak = TieBreak.FIRST,
     truth: Graph | None = None,
 ) -> ReconstructionState:
-    """Probe every patch pair and assemble the observable region's graph.
+    """Probe every pair of ``make_patches(s, probe_limit)`` and assemble ``s``'s graph.
 
     Pairs ``(i, j)`` of patch indices are visited with ``i`` ascending and
-    ``j < i``.  One simulation from ``seed`` covers the whole observable
-    set; each experiment reads the patch union's correlations off it,
-    applies the truncated estimator and the 2-means classifier, and merges
-    the outcome.  A union too small to split is refused before any
-    simulation.
+    ``j < i``.  One simulation from ``seed`` covers all of ``s``; each
+    experiment reads the patch union's correlations off it, applies the
+    truncated estimator and the 2-means classifier, and merges the outcome.
 
-    ``truth`` (a graph on the plan's observable set, in set order) enables
-    the per-experiment distance trace: after each merge,
+    ``truth`` (a graph on ``s``, in set order) enables the per-experiment
+    distance trace: after each merge,
     ``graph_distance(truth, state.estimated_graph())``.
     """
-    s_all = plan.observable()
-    s_all.check_within(a.n)
-    if truth is not None and truth.n != len(s_all):
+    patches = make_patches(s, probe_limit)
+    s.check_within(a.n)
+    if truth is not None and truth.n != len(s):
         raise ValueError("truth graph must cover exactly the observable set")
-    pairs = [(j, i) for i in range(plan.patch_count) for j in range(i)]
-    state = ReconstructionState(s_all)
+    pairs = [(j, i) for i in range(len(patches)) for j in range(i)]
+    state = ReconstructionState(s)
     if not pairs:
         return state
-    smallest = sorted(len(patch) for patch in plan.patches)
-    _KMEANS2.check_observed(smallest[0] + smallest[1])
 
-    corr = simulate_and_accumulate(a, cfg, s_all, seed)
+    corr = simulate_and_accumulate(a, cfg, s, seed)
     for exp_index, (j, i) in enumerate(pairs):
-        union = plan.patches[j].union(plan.patches[i])
+        union = patches[j].union(patches[i])
         decided = apply_classifier(granger_truncated(corr.restrict(union)), _KMEANS2)
         state.absorb(union, decided, tiebreak)
         dist = None if truth is None else graph_distance(truth, state.estimated_graph())

@@ -14,10 +14,11 @@ from tomolab import (
     NodeSet,
     PolicyParams,
     SimConfig,
+    TieBreak,
     build_matrix,
+    cli,
     lab,
     load_edge_list,
-    make_patches,
     ring_graph,
     run_patch_catch,
     save_edge_list,
@@ -535,6 +536,21 @@ class TestPatchCatchCommand:
         assert rc == 2
         assert "tiebreak" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, want", [({"tiebreak": "and"}, TieBreak.AND), ({}, TieBreak.FIRST)]
+    )
+    def test_tiebreak_reaches_the_driver(self, tmp_path, capsys, monkeypatch, extra, want):
+        # the driver is stubbed, so only the config reading runs
+        seen = []
+        stub = [lab.PatchCatchTrial(0, 0.0, [0.0])]
+        monkeypatch.setattr(
+            cli, "patch_catch_experiment", lambda cfg, threads=None: seen.append(cfg) or stub
+        )
+        cfg = self._config(tmp_path, **extra)
+        assert run("patch-catch", "--config", str(cfg), "--out", str(tmp_path / "r")) == 0
+        capsys.readouterr()
+        assert [c.tiebreak for c in seen] == [want]
+
     def test_probe_limit_refused_before_any_draw(self, tmp_path, capsys, drawn):
         cfg = self._config(tmp_path, probe_limit=2)
         rc = run("patch-catch", "--config", str(cfg), "--out", str(tmp_path / "r"))
@@ -673,6 +689,21 @@ def test_thread_count_below_one_refused_before_any_draw(tmp_path, capsys, drawn,
     assert run(command, *argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: --threads must be at least 1, got {threads}"]
+    assert drawn == []
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("command", ["recovery-prob", "patch-catch"])
+def test_thread_cap_below_one_refused_before_any_draw(
+    tmp_path, capsys, drawn, monkeypatch, command, cap
+):
+    monkeypatch.setenv(lab.THREADS_ENV, cap)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"recovery-prob": _RECOVERY, "patch-catch": _PATCH}[command]))
+    argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--threads", "2"]
+    assert run(command, *argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {lab.THREADS_ENV} must be a positive integer, got '{cap}'"]
     assert drawn == []
 
 
@@ -920,7 +951,8 @@ class TestGoldenBytes:
         a = build_matrix(ring_graph(12), PolicyParams(CombinationRule.METROPOLIS, 0.8))
         state = run_patch_catch(
             a,
-            make_patches(NodeSet(tuple(range(6))), 4),
+            NodeSet(tuple(range(6))),
+            4,
             SimConfig(beta=0.2, n_max=500, burn_in=50),
             1,
             truth=truth,

@@ -82,6 +82,13 @@ class TestThreadResolution:
         with pytest.raises(ConfigError, match="integer"):
             resolve_threads(4)
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_environment_cap_is_rejected(self, monkeypatch, cap):
+        # unlike a request, the cap is not floored: it is refused by name
+        monkeypatch.setenv(THREADS_ENV, cap)
+        with pytest.raises(ConfigError, match=f"{THREADS_ENV} must be a positive integer, got '{cap}'"):
+            resolve_threads(2)
+
 
 class TestSparsityRules:
     def test_loglog_value(self):
@@ -288,6 +295,8 @@ class TestExperimentConfig:
             _analytic_config(trials=0)
         with pytest.raises(ConfigError, match="exceeds N"):
             _analytic_config(s_size=11)
+        with pytest.raises(ConfigError, match="base_seed must be a non-negative integer, got -1"):
+            _analytic_config(base_seed=-1)
 
     @pytest.mark.parametrize("s_size", [1, 2])
     def test_kmeans2_needs_three_observed_nodes(self, s_size):
@@ -432,6 +441,8 @@ class TestPatchCatchCampaign:
             _patch_config(trials=0)
         with pytest.raises(ConfigError, match="n_max >= 10"):
             _patch_config(sim=SimConfig(beta=0.2, n_max=5, burn_in=2))
+        with pytest.raises(ConfigError, match="base_seed must be a non-negative integer, got -2"):
+            _patch_config(base_seed=-2)
 
     def test_trial_records(self):
         results = patch_catch_experiment(_patch_config())
@@ -488,6 +499,8 @@ class TestSmallDistanceRarity:
             check_small_distance_rarity(60, 0.1, 6, trials=0)
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             check_small_distance_rarity(60, 1.0, 6, trials=10)
+        with pytest.raises(ConfigError, match="base_seed must be a non-negative integer, got -1"):
+            check_small_distance_rarity(60, 0.1, 6, trials=10, base_seed=-1)
 
     @pytest.fixture
     def no_sampling(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Patch planning, pairwise probing experiments and decision merging."""
 
+import itertools
 import math
 from enum import Enum
 
@@ -8,10 +9,8 @@ import pytest
 
 from tomolab import (
     CombinationRule,
-    ConfigError,
     NodeSet,
     PartialErSpec,
-    PatchPlan,
     PolicyParams,
     ReconstructionState,
     SimConfig,
@@ -35,35 +34,35 @@ from conftest import same_csr
 
 class TestPatchPlanning:
     def test_even_split(self):
-        plan = make_patches(NodeSet(tuple(range(20))), 10)
-        assert plan.patch_count == 4
-        assert all(len(p) == 5 for p in plan.patches)
-        assert plan.observable().members == tuple(range(20))
+        patches = make_patches(NodeSet(tuple(range(20))), 10)
+        assert len(patches) == 4
+        assert all(len(p) == 5 for p in patches)
+        assert tuple(node for p in patches for node in p) == tuple(range(20))
 
     def test_sixty_nodes_make_sixty_six_experiments(self):
-        plan = make_patches(NodeSet(tuple(range(60))), 10)
-        assert plan.patch_count == 12
-        assert plan.patch_count * (plan.patch_count - 1) // 2 == 66
+        patches = make_patches(NodeSet(tuple(range(60))), 10)
+        assert len(patches) == 12
+        assert len(patches) * (len(patches) - 1) // 2 == 66
 
     def test_remainder_block(self):
-        plan = make_patches(NodeSet(tuple(range(7))), 10)
-        assert [len(p) for p in plan.patches] == [5, 2]
+        patches = make_patches(NodeSet(tuple(range(7))), 10)
+        assert [len(p) for p in patches] == [5, 2]
 
     def test_probe_limit_floor(self):
         with pytest.raises(ValueError, match="probe"):
             make_patches(NodeSet(tuple(range(8))), 3)
 
-    def test_plan_rejects_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            PatchPlan((NodeSet((0, 1)), NodeSet((1, 2))), 10)
-
-    def test_plan_rejects_oversized_patch(self):
-        with pytest.raises(ValueError, match="cap"):
-            PatchPlan((NodeSet((0, 1, 2, 3, 4, 5)),), 10)
-
-    def test_plan_rejects_empty(self):
-        with pytest.raises(ValueError):
-            PatchPlan((), 10)
+    def test_blocks_cover_s_in_order_and_every_union_splits(self):
+        for size, m in itertools.product(range(1, 80), range(4, 30)):
+            # spaced ids, so a block of positions would not pass for a block of ids
+            s = NodeSet(tuple(range(0, 3 * size, 3)))
+            patches = make_patches(s, m)
+            # s is strictly increasing, so this also makes the blocks disjoint
+            assert tuple(node for p in patches for node in p) == s.members
+            assert all(1 <= len(p) <= m // 2 for p in patches)
+            sizes = sorted(len(p) for p in patches)
+            if len(sizes) > 1:
+                assert sizes[0] + sizes[1] >= 3
 
 
 class TestGraphDistance:
@@ -267,17 +266,16 @@ def small_campaign(seed=0, tiebreak=TieBreak.FIRST):
     planted = ring_graph(s_size)
     g = sample_partial_er(PartialErSpec(n, p, s, planted), rng)
     a = build_matrix(g, PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
-    plan = make_patches(s, 8)
     cfg = SimConfig(beta=0.2, n_max=40_000, burn_in=500)
     truth = subgraph(g, s)
-    state = run_patch_catch(a, plan, cfg, seed, tiebreak=tiebreak, truth=truth)
-    return state, truth, a, plan, cfg
+    state = run_patch_catch(a, s, 8, cfg, seed, tiebreak=tiebreak, truth=truth)
+    return state, truth, a, s, cfg
 
 
 class TestProbingRuns:
     def test_covers_every_pair(self):
-        state, _, _, plan, _ = small_campaign()
-        assert plan.patch_count == 3
+        state, _, _, s, _ = small_campaign()
+        assert len(make_patches(s, 8)) == 3
         assert len(state.experiment_log) == 3
         assert not state.undecided_pairs()
 
@@ -309,7 +307,7 @@ class TestProbingRuns:
 
         monkeypatch.setattr(ReconstructionState, "absorb", absorb_and_measure)
         cfg = SimConfig(beta=0.2, n_max=3000, burn_in=100)
-        state = run_patch_catch(a, make_patches(s, 4), cfg, 8, tiebreak=tiebreak, truth=truth)
+        state = run_patch_catch(a, s, 4, cfg, 8, tiebreak=tiebreak, truth=truth)
         trace = [rec.distance for rec in state.experiment_log]
         assert len(trace) == 15 and len(set(trace)) > 2
         assert trace == oracle
@@ -320,12 +318,10 @@ class TestProbingRuns:
         assert state.experiment_log[-1].distance <= 2 / 66
 
     def test_single_patch_pair_equals_direct_run(self):
-        # two patches covering s: the one experiment is a plain local
-        # tomography run on the union
-        state, truth, a, _, cfg = small_campaign()
-        s = NodeSet(tuple(range(12)))
-        plan2 = PatchPlan((NodeSet(tuple(range(6))), NodeSet(tuple(range(6, 12)))), 12)
-        state2 = run_patch_catch(a, plan2, cfg, 0, truth=truth)
+        # at probe limit 12, s is two 6-node patches: the one experiment is
+        # a plain local tomography run on the union
+        state, truth, a, s, cfg = small_campaign()
+        state2 = run_patch_catch(a, s, 12, cfg, 0, truth=truth)
         corr = simulate_and_accumulate(a, cfg, s, 0)
         direct = classify_kmeans2(granger_truncated(corr))
         assert state2.estimated_graph() == direct
@@ -336,20 +332,14 @@ class TestProbingRuns:
         assert order == [(0, 1), (0, 2), (1, 2)]
 
     def test_truth_size_checked(self):
-        _, _, a, plan, cfg = small_campaign()
+        _, _, a, s, cfg = small_campaign()
         with pytest.raises(ValueError, match="observable"):
-            run_patch_catch(a, plan, cfg, 0, truth=ring_graph(5))
-
-    def test_tiny_union_rejected(self):
-        a = build_matrix(ring_graph(6), PolicyParams(CombinationRule.METROPOLIS, rho=0.8))
-        plan = PatchPlan((NodeSet((0,)), NodeSet((1,))), 4)
-        with pytest.raises(ConfigError, match="at least 3 observed nodes"):
-            run_patch_catch(a, plan, SimConfig(beta=0.2, n_max=10), 0)
+            run_patch_catch(a, s, 8, cfg, 0, truth=ring_graph(5))
 
 
 class TestExperimentLog:
     def test_distance_blank_without_truth(self):
-        _, _, a, plan, cfg = small_campaign()
-        state = run_patch_catch(a, plan, cfg, 0)
+        _, _, a, s, cfg = small_campaign()
+        state = run_patch_catch(a, s, 8, cfg, 0)
         assert len(state.experiment_log) == 3
         assert all(rec.distance is None for rec in state.experiment_log)

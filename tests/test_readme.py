@@ -1,6 +1,8 @@
 """The README's library example runs as written, its command lines parse,
-and its JSON configs are accepted by their commands."""
+its JSON configs are accepted by their commands, and the calls it names
+list the parameters of the callables they name."""
 
+import inspect
 import json
 import re
 import shlex
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import tomolab
 from tomolab import cli
 from tomolab.cli import build_parser, main
 from tomolab.lab import PatchCatchTrial, RecoveryRow
@@ -65,3 +68,37 @@ def test_json_block_is_accepted(marker, tmp_path, capsys, monkeypatch):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
     assert len(seen) == 1 and seen[0].trials == config["trials"]
+
+
+def _resolve(name: str):
+    """The tomolab callable a README call names, or ``None``.
+
+    A dotted name is looked up attribute by attribute from ``tomolab`` or
+    one of its exports; a bare one is an export, or else the one exported
+    class's method of that name.
+    """
+    head, *rest = name.split(".")
+    if rest or hasattr(tomolab, head):
+        target = tomolab if head == "tomolab" else getattr(tomolab, head, None)
+        for attr in rest:
+            target = getattr(target, attr, None)
+        return target
+    owners = [
+        cls for cls in vars(tomolab).values() if inspect.isclass(cls) and name in vars(cls)
+    ]
+    assert len(owners) <= 1, f"{name} is a method of {owners}"
+    return getattr(owners[0], name) if owners else None
+
+
+def test_call_signatures_match():
+    calls = re.findall(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", README.read_text(encoding="utf-8"))
+    checked = 0
+    for name, arglist in calls:
+        target = _resolve(name)
+        if not callable(target):
+            continue
+        params = [p for p in inspect.signature(target).parameters if p != "self"]
+        args = [arg.split("=")[0].strip() for arg in arglist.split(",") if arg.strip()]
+        assert args == params[: len(args)], f"`{name}({arglist})` against {params}"
+        checked += 1
+    assert checked == 7
